@@ -105,8 +105,8 @@ fn fault_shard_count(opts: &Opts) -> Result<usize, Box<dyn Error>> {
     })
 }
 
-/// Parses `--sim-width`: `scalar64`/`64`, `wide256`/`256`, `wide512`/`512`,
-/// or `auto` (pick the widest backend the host supports well). Defaults to
+/// Parses `--sim-width`: `scalar64`/`64`, `wide256`/`256`, or `auto`
+/// (pick the widest backend the host supports well). Defaults to
 /// scalar64. Results are bit-identical across widths; this knob only trades
 /// per-step cost against how many fault machines ride in one packed word.
 fn sim_width_backend(opts: &Opts) -> Result<SimBackend, Box<dyn Error>> {
@@ -115,7 +115,7 @@ fn sim_width_backend(opts: &Opts) -> Result<SimBackend, Box<dyn Error>> {
     };
     value.parse().map_err(|_| {
         UsageError::boxed(format!(
-            "--sim-width expects scalar64|wide256|wide512|auto (or 64|256|512), got `{value}`"
+            "--sim-width expects scalar64|wide256|auto (or 64|256), got `{value}`"
         ))
     })
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! gatest atpg     <circuit> [--seed N] [--sample N] [--workers N|auto]
-//!                 [--sim-threads N|auto] [--sim-width scalar64|wide256|wide512|auto]
+//!                 [--sim-threads N|auto] [--sim-width scalar64|wide256|auto]
 //!                 [--fault-shards N|auto] [--out tests.txt]
 //!                 [--eval-cache N|off] [--no-dedup] [--paranoid-cache]
 //!                 [--trace-out trace.jsonl] [--progress] [-v|--verbose] [-q|--quiet]
@@ -19,9 +19,9 @@
 //!
 //! `--sim-width` picks the packed-simulation backend: `scalar64` (default,
 //! 64 fault machines per word), `wide256` (256 lanes, autovectorized with
-//! an AVX2 path when the host has it), `wide512` (512 lanes, same AVX2
-//! path over twice the words — opt-in, wins only on large circuits), or
-//! `auto` (widest that reliably helps, currently wide256). Like the thread
+//! an AVX2 path when the host has it), or `auto` (resolves to wide256).
+//! There is no wider word: an eight-word plane measured slower than
+//! wide256 on every bench circuit (DESIGN.md §14). Like the thread
 //! knobs it is an execution detail: results are bit-identical at every
 //! width, and a checkpoint taken at one width resumes at another.
 //!
@@ -149,8 +149,8 @@ fn usage() -> String {
     s.push_str("\nparallelism (atpg): --workers N (alias --threads) sizes the\n");
     s.push_str("fitness-evaluation pool; --sim-threads N sizes the fault-group\n");
     s.push_str("pool inside each simulator; 0 or `auto` uses all available\n");
-    s.push_str("cores; --sim-width scalar64|wide256|wide512|auto picks the packed\n");
-    s.push_str("backend (64, 256, or 512 fault machines per word); --fault-shards N\n");
+    s.push_str("cores; --sim-width scalar64|wide256|auto picks the packed backend\n");
+    s.push_str("(64 or 256 fault machines per word; auto = wide256); --fault-shards N\n");
     s.push_str("partitions the fault list into N independent simulators (auto = one\n");
     s.push_str("per core) to bound the working set on large fault lists; results are\n");
     s.push_str("bit-identical at every workers/sim-threads/sim-width/fault-shards\n");

@@ -115,12 +115,15 @@ fn missing_flag_is_reported() {
 
 #[test]
 fn usage_errors_exit_with_code_2() {
-    // Missing circuit argument, unknown command, unknown flag: all usage.
+    // Missing circuit argument, unknown command, unknown flag, unknown
+    // sim width: all usage.
     for args in [
         &["atpg"][..],
         &["frobnicate", "s27"][..],
         &["atpg", "s27", "-z"][..],
         &["atpg", "s27", "--sim-width", "1024"][..],
+        &["atpg", "s27", "--sim-width", "wide512"][..],
+        &["atpg", "s27", "--sim-width", "512"][..],
         &["trace", "s27"][..],
     ] {
         let out = gatest(args);
@@ -192,7 +195,7 @@ fn sim_width_backends_produce_byte_identical_result_json() {
     let dir = std::env::temp_dir().join("gatest_cli_test");
     std::fs::create_dir_all(&dir).unwrap();
     let mut jsons = Vec::new();
-    for backend in ["scalar64", "wide256", "wide512", "auto"] {
+    for backend in ["scalar64", "wide256", "auto"] {
         let json = dir.join(format!("s27.{backend}.json"));
         let out = gatest(&[
             "atpg",
@@ -215,8 +218,7 @@ fn sim_width_backends_produce_byte_identical_result_json() {
         jsons.push(std::fs::read(&json).unwrap());
     }
     assert_eq!(jsons[0], jsons[1], "scalar64 vs wide256 result JSON differ");
-    assert_eq!(jsons[0], jsons[2], "scalar64 vs wide512 result JSON differ");
-    assert_eq!(jsons[0], jsons[3], "scalar64 vs auto result JSON differ");
+    assert_eq!(jsons[0], jsons[2], "scalar64 vs auto result JSON differ");
 }
 
 #[test]

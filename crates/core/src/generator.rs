@@ -507,7 +507,9 @@ impl TestGenerator {
                  different search parameters",
             ));
         }
-        self.sim.import_states(&snapshot.sim);
+        self.sim
+            .import_states(&snapshot.sim)
+            .map_err(|e| ResumeError::new(format!("checkpoint simulator state: {e}")))?;
         self.rng = Rng::from_state(snapshot.master_rng);
         self.counters.load_snapshot(&snapshot.counters);
         let m = self.machine_from_snapshot(snapshot)?;

@@ -38,7 +38,7 @@ use crate::group::{
     Scratch,
 };
 use crate::grouppool::GroupPool;
-use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv512, Pv64, SimBackend};
+use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv64, SimBackend};
 
 /// Statistics from simulating one vector over the active fault list.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -253,14 +253,12 @@ impl<P: PackedValue> Clone for EngineState<P> {
 enum Engine {
     Scalar64(EngineState<Pv64>),
     Wide256(EngineState<Pv256>),
-    Wide512(EngineState<Pv512>),
 }
 
 impl Engine {
     fn new(backend: SimBackend, circuit: &Circuit, max_level: usize) -> Engine {
         match backend.resolved() {
             SimBackend::Scalar64 => Engine::Scalar64(EngineState::new(circuit, max_level)),
-            SimBackend::Wide512 => Engine::Wide512(EngineState::new(circuit, max_level)),
             _ => Engine::Wide256(EngineState::new(circuit, max_level)),
         }
     }
@@ -269,7 +267,6 @@ impl Engine {
         match self {
             Engine::Scalar64(_) => SimBackend::Scalar64,
             Engine::Wide256(_) => SimBackend::Wide256,
-            Engine::Wide512(_) => SimBackend::Wide512,
         }
     }
 
@@ -277,7 +274,6 @@ impl Engine {
         match self {
             Engine::Scalar64(e) => e.pool = None,
             Engine::Wide256(e) => e.pool = None,
-            Engine::Wide512(e) => e.pool = None,
         }
     }
 }
@@ -638,19 +634,6 @@ impl FaultSim {
                 &mut reports,
                 &mut detected,
             ),
-            Engine::Wide512(engine) => run_engine_window(
-                &self.circuit,
-                &self.good,
-                &self.faults,
-                &mut self.faulty_ff,
-                &mut self.ff_entries,
-                &self.empty_ff,
-                &targets,
-                &frames,
-                engine,
-                &mut reports,
-                &mut detected,
-            ),
         };
         if let Some(counters) = &self.counters {
             for report in &reports {
@@ -735,20 +718,6 @@ impl FaultSim {
                 &mut detected,
             ),
             Engine::Wide256(engine) => run_engine(
-                &self.circuit,
-                &self.good,
-                &self.faults,
-                &mut self.faulty_ff,
-                &mut self.ff_entries,
-                &self.empty_ff,
-                targets,
-                threads,
-                probe.as_ref(),
-                engine,
-                &mut report,
-                &mut detected,
-            ),
-            Engine::Wide512(engine) => run_engine(
                 &self.circuit,
                 &self.good,
                 &self.faults,
@@ -909,31 +878,16 @@ impl FaultSim {
     /// list and the faulty-FF entry tally are rebuilt from the state, so a
     /// resumed simulator is indistinguishable from the one that exported.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the state's dimensions do not match this simulator's
-    /// circuit or fault list.
-    pub fn import_state(&mut self, state: &SimState) {
-        assert_eq!(
-            state.status.len(),
+    /// Returns [`SimStateError`], leaving the simulator unchanged, if the
+    /// state does not fit this simulator's circuit or fault list.
+    pub fn import_state(&mut self, state: &SimState) -> Result<(), SimStateError> {
+        check_states(
+            &self.circuit,
             self.faults.len(),
-            "fault count mismatch: state is from a different fault list"
-        );
-        assert_eq!(
-            state.faulty_ff.len(),
-            self.faults.len(),
-            "faulty-FF table size mismatch"
-        );
-        assert_eq!(
-            state.good_values.len(),
-            self.circuit.num_gates(),
-            "net count mismatch: state is from a different circuit"
-        );
-        assert_eq!(
-            state.good_next_state.len(),
-            self.circuit.num_dffs(),
-            "flip-flop count mismatch"
-        );
+            std::slice::from_ref(state),
+        )?;
         self.good.restore(&GoodSimState::from_parts(
             state.good_values.clone(),
             state.good_next_state.clone(),
@@ -962,6 +916,7 @@ impl FaultSim {
         );
         self.ff_entries = ff_entries;
         self.vectors_applied = state.vectors_applied;
+        Ok(())
     }
 
     /// Resets everything: all faults undetected, all state X.
@@ -974,6 +929,73 @@ impl FaultSim {
         self.ff_entries = 0;
         self.vectors_applied = 0;
     }
+}
+
+/// Why a [`SimState`] cannot be adopted: it was exported over a different
+/// circuit or fault list, or decoded from a damaged checkpoint file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SimStateError(String);
+
+impl std::fmt::Display for SimStateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for SimStateError {}
+
+/// Checks that `states`, concatenated in order, fit a simulator of
+/// `circuit` over `num_faults` faults: every length the import paths copy
+/// and every flip-flop index the group engine dereferences.
+pub(crate) fn check_states(
+    circuit: &Circuit,
+    num_faults: usize,
+    states: &[SimState],
+) -> Result<(), SimStateError> {
+    let fail = |msg: String| Err(SimStateError(msg));
+    let Some(first) = states.first() else {
+        return fail("no simulator states".into());
+    };
+    let total: usize = states.iter().map(|s| s.status.len()).sum();
+    if total != num_faults {
+        return fail(format!(
+            "fault count mismatch: states cover {total} faults, simulator has {num_faults}"
+        ));
+    }
+    let (nets, nffs) = (circuit.num_gates(), circuit.num_dffs());
+    for (i, s) in states.iter().enumerate() {
+        if s.faulty_ff.len() != s.status.len() {
+            return fail(format!(
+                "state {i}: faulty-FF table has {} entries for {} faults",
+                s.faulty_ff.len(),
+                s.status.len()
+            ));
+        }
+        if s.good_values.len() != nets {
+            return fail(format!(
+                "state {i}: net count mismatch: {} good values for {nets} nets",
+                s.good_values.len()
+            ));
+        }
+        if s.good_next_state.len() != nffs {
+            return fail(format!(
+                "state {i}: flip-flop count mismatch: {} next-state values for {nffs} flip-flops",
+                s.good_next_state.len()
+            ));
+        }
+        if s.vectors_applied != first.vectors_applied {
+            return fail(format!(
+                "state {i}: {} vectors applied, state 0 has {}",
+                s.vectors_applied, first.vectors_applied
+            ));
+        }
+        if let Some(&(ff, _)) = s.faulty_ff.iter().flatten().find(|e| e.0 as usize >= nffs) {
+            return fail(format!(
+                "state {i}: faulty flip-flop index {ff} out of range ({nffs} flip-flops)"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Runs one step's group fan-out and merge on a width-concrete engine.
@@ -1512,7 +1534,7 @@ mod tests {
         let state = sim.export_state();
 
         let mut fresh = FaultSim::new(circuit);
-        fresh.import_state(&state);
+        fresh.import_state(&state).unwrap();
         assert_eq!(fresh.detected_count(), sim.detected_count());
         assert_eq!(fresh.vectors_applied(), sim.vectors_applied());
         assert_eq!(fresh.active_faults(), sim.active_faults());
@@ -1534,18 +1556,18 @@ mod tests {
         for v in prng_sequence(4, 7, 54) {
             sim.step(&v);
         }
-        sim.import_state(&state);
+        sim.import_state(&state).unwrap();
         assert_eq!(sim.export_state(), state);
     }
 
     #[test]
-    #[should_panic(expected = "fault count mismatch")]
     fn import_rejects_mismatched_fault_list() {
         let circuit = s27();
         let full = FaultSim::with_faults(Arc::clone(&circuit), FaultList::full(&circuit));
         let state = full.export_state();
         let mut collapsed = FaultSim::new(circuit);
-        collapsed.import_state(&state);
+        let err = collapsed.import_state(&state).unwrap_err();
+        assert!(err.to_string().contains("fault count mismatch"), "{err}");
     }
 
     #[test]
@@ -1669,26 +1691,6 @@ mod tests {
     }
 
     #[test]
-    fn wide512_backend_matches_scalar_bit_for_bit() {
-        // Same contract as wide256: only gate_evals may differ per step.
-        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
-        let faults = FaultList::full(&circuit);
-        let mut narrow = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
-        let mut wide = FaultSim::with_faults(Arc::clone(&circuit), faults);
-        wide.set_backend(SimBackend::Wide512);
-        assert_eq!(wide.backend(), SimBackend::Wide512);
-        for v in prng_sequence(circuit.num_inputs(), 48, 41) {
-            let a = narrow.step(&v);
-            let b = wide.step(&v);
-            assert_eq!(without_gate_evals(a), without_gate_evals(b));
-        }
-        assert_eq!(narrow.detected_count(), wide.detected_count());
-        for &f in narrow.active_faults() {
-            assert_eq!(narrow.faulty_ff_state(f), wide.faulty_ff_state(f));
-        }
-    }
-
-    #[test]
     fn step_window_matches_serial_steps_bit_for_bit() {
         // The batched commit path must reproduce serial stepping exactly —
         // same per-vector reports (minus gate_evals), same detection
@@ -1697,11 +1699,7 @@ mod tests {
         let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
         let faults = FaultList::full(&circuit);
         let seq = prng_sequence(circuit.num_inputs(), 36, 61);
-        for backend in [
-            SimBackend::Scalar64,
-            SimBackend::Wide256,
-            SimBackend::Wide512,
-        ] {
+        for backend in [SimBackend::Scalar64, SimBackend::Wide256] {
             let mut serial = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
             let mut windowed = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
             serial.set_backend(backend);

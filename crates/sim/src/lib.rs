@@ -7,10 +7,13 @@
 //!
 //! * [`value`] — scalar [`Logic`] (0/1/X) and the width-generic
 //!   [`PackedValue`] backends used for bit-parallel fault propagation:
-//!   the 64-lane [`Pv64`], the 256-lane [`Pv256`], and the 512-lane
-//!   [`Pv512`] (the wide ones autovectorized, with an AVX2 fast path
-//!   dispatched at runtime). [`SimBackend`] selects a backend by name;
-//!   results are bit-identical across widths.
+//!   the 64-lane [`Pv64`] and the 256-lane [`Pv256`] (autovectorized, with
+//!   an AVX2 fast path dispatched at runtime). [`SimBackend`] selects
+//!   `scalar64`, `wide256` or `auto` (which resolves to `wide256`);
+//!   results are bit-identical across widths. No wider word is offered:
+//!   without 512-bit registers at the crate's MSRV, an eight-word plane
+//!   measured 1.46× scalar on s298 and 1.02× on s1423, behind [`Pv256`]'s
+//!   1.55× and 1.13× (DESIGN.md §14).
 //! * [`eval`] — gate evaluation over both representations.
 //! * [`fault`] — the single stuck-at fault universe and equivalence
 //!   collapsing ([`FaultList`]).
@@ -74,12 +77,12 @@ pub mod vcd;
 pub use dictionary::{FaultDictionary, Syndrome};
 pub use fault::{Fault, FaultId, FaultList, FaultSite, FaultStatus};
 pub use fault_report::{FaultReportWriter, StreamRecord, StreamSummary};
-pub use fsim::{Checkpoint, FaultSim, SimState, StepReport};
+pub use fsim::{Checkpoint, FaultSim, SimState, SimStateError, StepReport};
 pub use good_sim::{GoodSim, GoodSimState, GoodStepReport};
 pub use packed_good::PackedGoodSim;
 pub use shard::{ShardCheckpoint, ShardPlan, ShardedFaultSim};
 pub use transition::{Slow, TransitionFault, TransitionFaultSim};
-pub use value::{LaneMask, Logic, Mask256, Mask512, PackedValue, Pv256, Pv512, Pv64, SimBackend};
+pub use value::{LaneMask, Logic, Mask256, PackedValue, Pv256, Pv64, SimBackend};
 
 /// The s27 circuit for intra-crate tests.
 #[cfg(test)]

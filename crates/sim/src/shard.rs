@@ -27,7 +27,7 @@ use gatest_netlist::Circuit;
 use gatest_telemetry::{Instruments, SimCounters};
 
 use crate::fault::{FaultId, FaultList, FaultStatus};
-use crate::fsim::{Checkpoint, FaultSim, SimState, StepReport};
+use crate::fsim::{check_states, Checkpoint, FaultSim, SimState, SimStateError, StepReport};
 use crate::good_sim::{GoodSim, GoodStepReport};
 use crate::value::{Logic, SimBackend};
 
@@ -421,44 +421,34 @@ impl ShardedFaultSim {
     /// `--fault-shards` value reproduces the run bit-identically (the plan
     /// never changes what is simulated, only how it is partitioned).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `states` is empty, the total fault count differs from
-    /// this simulator's fault list, or the circuit dimensions mismatch.
-    pub fn import_states(&mut self, states: &[SimState]) {
-        assert!(!states.is_empty(), "no shard states to import");
-        let total: usize = states.iter().map(|s| s.status.len()).sum();
-        assert_eq!(
-            total,
-            self.faults.len(),
-            "fault count mismatch: states are from a different fault list"
-        );
+    /// Returns [`SimStateError`], leaving the simulator unchanged, if
+    /// `states` is empty, covers a different number of faults, disagrees
+    /// on vectors applied, or does not fit the circuit's dimensions.
+    pub fn import_states(&mut self, states: &[SimState]) -> Result<(), SimStateError> {
+        check_states(self.circuit(), self.faults.len(), states)?;
+        let total = self.faults.len();
         let mut status = Vec::with_capacity(total);
         let mut faulty_ff = Vec::with_capacity(total);
         for state in states {
-            assert_eq!(
-                state.faulty_ff.len(),
-                state.status.len(),
-                "faulty-FF table size mismatch"
-            );
-            assert_eq!(
-                state.vectors_applied, states[0].vectors_applied,
-                "shard states disagree on vectors applied"
-            );
             status.extend_from_slice(&state.status);
             faulty_ff.extend(state.faulty_ff.iter().cloned());
         }
         for (i, shard) in self.shards.iter_mut().enumerate() {
             let range = self.plan.range(i);
-            shard.import_state(&SimState {
-                good_values: states[0].good_values.clone(),
-                good_next_state: states[0].good_next_state.clone(),
-                status: status[range.clone()].to_vec(),
-                faulty_ff: faulty_ff[range].to_vec(),
-                vectors_applied: states[0].vectors_applied,
-            });
+            shard
+                .import_state(&SimState {
+                    good_values: states[0].good_values.clone(),
+                    good_next_state: states[0].good_next_state.clone(),
+                    status: status[range.clone()].to_vec(),
+                    faulty_ff: faulty_ff[range].to_vec(),
+                    vectors_applied: states[0].vectors_applied,
+                })
+                .expect("a slice of checked states fits its shard");
         }
         self.refresh_active();
+        Ok(())
     }
 
     /// Resets everything: all faults undetected, all state X, on every
@@ -705,7 +695,7 @@ mod tests {
                 FaultList::collapsed(&circuit),
                 k,
             );
-            resumed.import_states(&states);
+            resumed.import_states(&states).unwrap();
             assert_eq!(resumed.detected_count(), donor.detected_count(), "k={k}");
             assert_eq!(resumed.active_faults(), donor.active_faults(), "k={k}");
             assert_eq!(resumed.vectors_applied(), donor.vectors_applied(), "k={k}");
