@@ -11,14 +11,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gatest_core::{evaluate_candidate, EvalContext, EvalJob, EvalPool, FitnessScale, Phase};
 use gatest_ga::{Chromosome, Rng};
 use gatest_netlist::benchmarks;
-use gatest_sim::{Logic, ShardedFaultSim};
+use gatest_sim::{FaultSim, Logic};
 
 fn bench_eval_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("eval_throughput_s1423");
 
     let circuit = Arc::new(benchmarks::iscas89("s1423").expect("bundled circuit"));
     let pis = circuit.num_inputs();
-    let mut sim = ShardedFaultSim::new(Arc::clone(&circuit));
+    let mut sim = FaultSim::new(Arc::clone(&circuit));
     let mut rng = Rng::new(1);
     for _ in 0..20 {
         let v: Vec<Logic> = (0..pis).map(|_| Logic::from_bool(rng.coin())).collect();

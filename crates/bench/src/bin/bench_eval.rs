@@ -19,7 +19,7 @@ use gatest_core::{
 };
 use gatest_ga::{Chromosome, Rng};
 use gatest_netlist::benchmarks;
-use gatest_sim::{Logic, ShardedFaultSim};
+use gatest_sim::{FaultSim, Logic};
 use gatest_telemetry::json::parse_json;
 use gatest_telemetry::{Instruments, SimCounters};
 
@@ -73,7 +73,7 @@ fn main() {
 
     // Warm the simulator into a representative mid-run state: some faults
     // detected, faulty flip-flop divergence accumulated.
-    let mut sim = ShardedFaultSim::new(Arc::clone(&circuit));
+    let mut sim = FaultSim::new(Arc::clone(&circuit));
     let mut rng = Rng::new(1);
     for _ in 0..20 {
         let v: Vec<Logic> = (0..pis).map(|_| Logic::from_bool(rng.coin())).collect();
@@ -163,7 +163,7 @@ fn main() {
 /// measurement floor), looser on short smoke runs where timer noise
 /// dominates. Returns the `"overhead"` JSON object.
 fn overhead_section(
-    sim: &ShardedFaultSim,
+    sim: &FaultSim,
     ctx: &Arc<EvalContext>,
     batch: &[Chromosome],
     batches: usize,
@@ -257,12 +257,7 @@ fn overhead_section(
 /// clones recur within and across generations — so the serial uncached loop
 /// is the honest baseline and the memoized path's win comes from eliminated
 /// simulation, not from extra threads. Returns the `"cache"` JSON object.
-fn cache_section(
-    sim: &ShardedFaultSim,
-    ctx: &Arc<EvalContext>,
-    pis: usize,
-    batches: usize,
-) -> String {
+fn cache_section(sim: &FaultSim, ctx: &Arc<EvalContext>, pis: usize, batches: usize) -> String {
     let mut chrom_rng = Rng::new(11);
     let distinct: Vec<Chromosome> = (0..CACHE_DISTINCT)
         .map(|_| Chromosome::random(pis, &mut chrom_rng))

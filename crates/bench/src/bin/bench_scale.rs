@@ -2,17 +2,17 @@
 //!
 //! The ISCAS89-sized microbenchmarks (`bench_sim`) answer "did the hot loop
 //! get slower"; this one answers "how does the simulator scale" — the cost
-//! the CSR adjacency, shared per-group scheduling, and fault sharding
-//! attack grows with circuit size, not lane width. It drives the
-//! deterministic [`SyntheticGenerator`] at 1.5k, 10k, 50k, 100k, 250k, and
-//! 500k combinational gates and measures sequential fault-simulation
-//! throughput per packed backend, one multi-threaded layout, and two
-//! sharded fault-list layouts at each size, asserting a per-size identity
-//! checksum — detection order plus per-step faulty-event and
-//! flip-flop-effect counts — is bit-identical across every row. Each size
-//! also records `peak_rss_kb`, the process resident-set high-water mark
-//! (`VmHWM`) observed once that size's rows finish; sizes run ascending, so
-//! the largest size's value bounds the whole sweep's memory.
+//! the CSR adjacency and shared per-group scheduling attack grows with
+//! circuit size, not lane width. It drives the deterministic
+//! [`SyntheticGenerator`] at 1.5k, 10k, 50k, 100k, 250k, and 500k
+//! combinational gates and measures sequential fault-simulation throughput
+//! per packed backend and one multi-threaded layout at each size, asserting
+//! a per-size identity checksum — detection order plus per-step
+//! faulty-event and flip-flop-effect counts — is bit-identical across every
+//! row. Each size also records `peak_rss_kb`, the process resident-set
+//! high-water mark (`VmHWM`) observed once that size's rows finish; sizes
+//! run ascending, so the largest size's value bounds the whole sweep's
+//! memory.
 //!
 //! Rows whose `sim_threads` exceed the host's CPU count are skipped with a
 //! `"skipped_reason"` marker instead of recording a noise measurement — a
@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use gatest_ga::Rng;
 use gatest_netlist::generate::{CircuitProfile, SyntheticGenerator};
-use gatest_sim::{FaultList, Logic, ShardedFaultSim, SimBackend};
+use gatest_sim::{FaultList, FaultSim, Logic, SimBackend};
 use gatest_telemetry::json::parse_json;
 
 /// One scaling point: target combinational gate count plus the shape knobs
@@ -88,23 +88,20 @@ const SIZES: [SizePoint; 6] = [
     },
 ];
 
-/// Rows measured at every size: the two packed widths serially, a
-/// two-thread scalar64 layout so group scheduling is covered, and two
-/// sharded fault-list layouts so the per-shard working-set win is tracked
-/// at both the scalar and wide widths.
-const ROWS: [(SimBackend, usize, usize); 5] = [
-    (SimBackend::Scalar64, 1, 1),
-    (SimBackend::Wide256, 1, 1),
-    (SimBackend::Scalar64, 2, 1),
-    (SimBackend::Scalar64, 1, 4),
-    (SimBackend::Wide256, 1, 4),
+/// Rows measured at every size: the two packed widths serially, and a
+/// two-thread scalar64 layout so group scheduling is covered.
+const ROWS: [(SimBackend, usize); 3] = [
+    (SimBackend::Scalar64, 1),
+    (SimBackend::Wide256, 1),
+    (SimBackend::Scalar64, 2),
 ];
 
 const GENERATOR_SEED: u64 = 94;
 /// Bumped whenever the document shape changes; `--validate` requires it.
-/// 2 added `fault_shards` per row, `peak_rss_kb` per size, the 250k/500k
-/// points, and the skipped-row shape for thread counts the host lacks.
-const SCHEMA_VERSION: u64 = 2;
+/// 2 added `peak_rss_kb` per size, the 250k/500k points, and the
+/// skipped-row shape for thread counts the host lacks; 3 dropped the rows
+/// that split the fault list, and their per-row key.
+const SCHEMA_VERSION: u64 = 3;
 
 /// `--NAME VALUE` from the args, else the `env` variable, else `"unknown"`.
 fn provenance(args: &[String], name: &str, env: &str) -> String {
@@ -170,7 +167,7 @@ fn main() {
     );
 }
 
-/// Measures every backend/thread/shard row at one size, asserting the
+/// Measures every backend/thread row at one size, asserting the
 /// identity checksum agrees across all of them, and returns the size's
 /// JSON block. Rows needing more threads than the host has are emitted as
 /// `skipped_reason` markers rather than noise measurements.
@@ -191,18 +188,17 @@ fn measure_size(point: &SizePoint, host_cpus: usize) -> String {
 
     // Warm into a representative mid-run state: random vectors drop the
     // easy majority of the universe, leaving the hard residue every row
-    // then replays identically. The warmup runs once, unsharded; each
-    // measured row re-imports the exported state under its own shard plan
-    // (the importer re-splits state across any shard count), so setup cost
-    // never pollutes the timed stream.
-    let mut base = ShardedFaultSim::with_faults(Arc::clone(&circuit), faults.clone());
+    // then replays identically. The warmup runs once and each measured row
+    // re-imports the exported state, so setup cost never pollutes the
+    // timed stream.
+    let mut base = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
     let mut rng = Rng::new(1);
     for _ in 0..12 {
         let v: Vec<Logic> = (0..pis).map(|_| Logic::from_bool(rng.coin())).collect();
         base.step(&v);
     }
     let csr_bytes = base.good().levelization().csr_bytes();
-    let warm = base.export_states();
+    let warm = base.export_state();
     drop(base);
     let mut vec_rng = Rng::new(9);
     let stream: Vec<Vec<Logic>> = (0..point.vectors)
@@ -211,24 +207,24 @@ fn measure_size(point: &SizePoint, host_cpus: usize) -> String {
 
     let mut rows = String::new();
     let mut reference: Option<u64> = None;
-    for (backend, threads, shards) in ROWS {
+    for (backend, threads) in ROWS {
         if !rows.is_empty() {
             rows.push_str(",\n");
         }
         if threads > host_cpus {
             rows.push_str(&format!(
-                "        {{\"backend\": \"{}\", \"sim_threads\": {threads}, \"fault_shards\": {shards}, \"skipped_reason\": \"sim_threads {threads} exceeds host_cpus {host_cpus}\"}}",
+                "        {{\"backend\": \"{}\", \"sim_threads\": {threads}, \"skipped_reason\": \"sim_threads {threads} exceeds host_cpus {host_cpus}\"}}",
                 backend.name(),
             ));
             eprintln!(
-                "{name} {} t{threads} k{shards}: skipped (sim_threads {threads} exceeds host_cpus {host_cpus})",
+                "{name} {} t{threads}: skipped (sim_threads {threads} exceeds host_cpus {host_cpus})",
                 backend.name(),
             );
             continue;
         }
-        let mut sim = ShardedFaultSim::with_shards(Arc::clone(&circuit), faults.clone(), shards);
-        sim.import_states(&warm)
-            .expect("warm states come from this circuit's own simulator");
+        let mut sim = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
+        sim.import_state(&warm)
+            .expect("the warm state comes from this circuit's own simulator");
         sim.set_backend(backend);
         sim.set_sim_threads(threads);
         let (secs, sum, events) = run_stream(&mut sim, &stream);
@@ -237,12 +233,12 @@ fn measure_size(point: &SizePoint, host_cpus: usize) -> String {
             Some(c) => assert_eq!(
                 c,
                 sum,
-                "{name}: {} sim_threads={threads} fault_shards={shards} diverged from the reference results",
+                "{name}: {} sim_threads={threads} diverged from the reference results",
                 backend.name()
             ),
         }
         rows.push_str(&format!(
-            "        {{\"backend\": \"{}\", \"sim_threads\": {threads}, \"fault_shards\": {shards}, \"lanes\": {}, \"vectors\": {}, \"secs\": {secs:.4}, \"vectors_per_sec\": {:.0}, \"fault_events_per_sec\": {:.0}, \"identity_checksum\": {sum}}}",
+            "        {{\"backend\": \"{}\", \"sim_threads\": {threads}, \"lanes\": {}, \"vectors\": {}, \"secs\": {secs:.4}, \"vectors_per_sec\": {:.0}, \"fault_events_per_sec\": {:.0}, \"identity_checksum\": {sum}}}",
             backend.name(),
             backend.lanes(),
             point.vectors,
@@ -250,7 +246,7 @@ fn measure_size(point: &SizePoint, host_cpus: usize) -> String {
             events as f64 / secs,
         ));
         eprintln!(
-            "{name} {} t{threads} k{shards}: {} vectors in {secs:.2}s = {:.0} vectors/sec ({:.0} fault events/sec)",
+            "{name} {} t{threads}: {} vectors in {secs:.2}s = {:.0} vectors/sec ({:.0} fault events/sec)",
             backend.name(),
             point.vectors,
             point.vectors as f64 / secs,
@@ -270,9 +266,9 @@ fn measure_size(point: &SizePoint, host_cpus: usize) -> String {
 
 /// Replays `stream` through `sim`, returning elapsed seconds, the identity
 /// checksum (detection order plus per-step faulty-event and flip-flop-effect
-/// counts — all width-, thread-, shard-, and batching-invariant), and the
+/// counts — all width-, thread-, and batching-invariant), and the
 /// total faulty-event count.
-fn run_stream(sim: &mut ShardedFaultSim, stream: &[Vec<Logic>]) -> (f64, u64, u64) {
+fn run_stream(sim: &mut FaultSim, stream: &[Vec<Logic>]) -> (f64, u64, u64) {
     let mut events = 0u64;
     let mut sum = 0u64;
     let start = Instant::now();
@@ -364,11 +360,9 @@ fn validate(path: &str) -> Result<String, String> {
             row.get("backend")
                 .and_then(|v| v.as_str())
                 .ok_or_else(|| format!("sizes[{i}].rows[{j}] missing string `backend`"))?;
-            for key in ["sim_threads", "fault_shards"] {
-                row.get(key)
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| format!("sizes[{i}].rows[{j}] missing numeric `{key}`"))?;
-            }
+            row.get("sim_threads")
+                .and_then(|v| v.as_f64())
+                .ok_or_else(|| format!("sizes[{i}].rows[{j}] missing numeric `sim_threads`"))?;
             // A row is either a skipped marker (reason, no measurements)
             // or a full measurement; both shapes are valid baselines so
             // single-CPU hosts never commit noise rows.
@@ -391,8 +385,8 @@ fn validate(path: &str) -> Result<String, String> {
                     .and_then(|v| v.as_f64())
                     .ok_or_else(|| format!("sizes[{i}].rows[{j}] missing numeric `{key}`"))?;
             }
-            // The baseline itself is proof the widths, layouts, and shard
-            // counts agreed when it was recorded.
+            // The baseline itself is proof the widths and layouts agreed
+            // when it was recorded.
             let row_sum = row
                 .get("identity_checksum")
                 .and_then(|v| v.as_f64())

@@ -87,24 +87,6 @@ fn sim_thread_count(opts: &Opts) -> Result<usize, Box<dyn Error>> {
     })
 }
 
-/// Parses `--fault-shards`: a positive integer, or `0` / `auto` meaning one
-/// shard per available core. Defaults to 1 (unsharded). Results are
-/// bit-identical at every shard count; the knob only trades fault-group
-/// working-set locality against per-shard bookkeeping.
-fn fault_shard_count(opts: &Opts) -> Result<usize, Box<dyn Error>> {
-    let Some(value) = opts.get("fault-shards") else {
-        return Ok(1);
-    };
-    if value == "auto" {
-        return Ok(0);
-    }
-    value.parse().map_err(|_| {
-        UsageError::boxed(format!(
-            "--fault-shards expects a non-negative integer or `auto`, got `{value}`"
-        ))
-    })
-}
-
 /// Parses `--sim-width`: `scalar64`/`64`, `wide256`/`256`, or `auto`
 /// (pick the widest backend the host supports well). Defaults to
 /// scalar64. Results are bit-identical across widths; this knob only trades
@@ -227,7 +209,6 @@ pub fn atpg(opts: &Opts) -> Result<ExitCode, Box<dyn Error>> {
         .with_workers(worker_count(opts)?)
         .with_sim_threads(sim_thread_count(opts)?)
         .with_sim_width(sim_width_backend(opts)?)
-        .with_fault_shards(fault_shard_count(opts)?)
         .with_dedup(!opts.has("no-dedup"));
     if let Some(entries) = eval_cache_override(opts)? {
         config = config.with_eval_cache(entries);
@@ -985,16 +966,6 @@ pub fn summarize_trace(text: &str) -> Result<String, Box<dyn Error>> {
                             cf("commit_batch_frames"),
                         );
                     }
-                    // Same rule for shard counters: zero on unsharded
-                    // (K = 1) runs and absent in pre-shard traces.
-                    if cf("shard_tasks") > 0 {
-                        let _ = write!(
-                            footer,
-                            "\nsharded sim: {} shard dispatches, {:.3}s merging",
-                            cf("shard_tasks"),
-                            cf("shard_merge_ns") as f64 / 1e9,
-                        );
-                    }
                     if cf("report_records_streamed") > 0 {
                         let _ = write!(
                             footer,
@@ -1188,6 +1159,34 @@ mod tests {
         assert!(report.contains("timing ignored"), "{report}");
         let (_, regressed) = diff_traces(&base, &jittery, 10.0, true);
         assert!(regressed);
+    }
+
+    /// A trace written before the fault simulator lost its fault-list
+    /// partitioning: its counters carry two keys this build no longer
+    /// records.
+    const OLD_COUNTERS_TRACE: &str = "\
+{\"event\":\"run_started\",\"circuit\":\"s27\",\"total_faults\":26,\"seed\":3,\"backend\":\"scalar64\",\"lanes\":64}
+{\"event\":\"run_finished\",\"detected\":26,\"total_faults\":26,\"vectors\":11,\"ga_evaluations\":1440,\"elapsed_secs\":0.0011,\"budget_exhausted\":false,\"phase_time_secs\":[0.00016,0.00073,0.00019,0],\"ga_generations\":90,\"counters\":{\"step_calls\":146,\"good_only_calls\":0,\"gate_evals\":4269,\"good_events\":938,\"faulty_events\":1355,\"checkpoint_restores\":145,\"restore_bytes_avoided\":128608,\"packed_phase1_frames\":10,\"pool_tasks\":0,\"pool_idle_ns\":0,\"group_tasks\":0,\"group_steal_ns\":0,\"scratch_bytes_reused\":92784,\"checkpoint_writes\":0,\"checkpoint_bytes\":0,\"cache_hits\":1222,\"cache_misses\":150,\"dedup_skips\":68,\"prefix_frames_avoided\":0,\"wide_groups\":0,\"lanes_per_group\":0,\"events_amortized\":498,\"commit_batch_frames\":0,\"csr_bytes\":0,\"shard_tasks\":292,\"shard_merge_ns\":17510,\"report_records_streamed\":0},\"spans\":[{\"kind\":\"run\",\"parent\":null,\"count\":1,\"incl_ns\":1101557,\"excl_ns\":277349},{\"kind\":\"generation\",\"parent\":\"run\",\"count\":90,\"incl_ns\":824208,\"excl_ns\":103263}]}
+";
+
+    #[test]
+    fn traces_with_retired_counters_still_load() {
+        let summary = summarize_trace(OLD_COUNTERS_TRACE).unwrap();
+        assert!(
+            summary.contains("finished: 26/26 detected, 11 vectors, 1440 GA evaluations"),
+            "{summary}"
+        );
+        assert!(summary.contains("cache: 1222/1372 hits"), "{summary}");
+        let table = trace_phases(OLD_COUNTERS_TRACE).unwrap();
+        assert!(table.contains("  generation"), "{table}");
+        let old = trace_stats(OLD_COUNTERS_TRACE).unwrap();
+        assert_eq!((old.detected, old.gate_evals), (26, 4269));
+        let (report, regressed) = diff_traces(&old, &old, 10.0, true);
+        assert!(!regressed, "{report}");
+        // An old trace diffs against a current one like any other pair.
+        let new = trace_stats(TRACED_FINISH).unwrap();
+        let (report, _) = diff_traces(&old, &new, 10.0, false);
+        assert!(report.contains("gate_evals"), "{report}");
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! ```text
 //! gatest atpg     <circuit> [--seed N] [--sample N] [--workers N|auto]
 //!                 [--sim-threads N|auto] [--sim-width scalar64|wide256|auto]
-//!                 [--fault-shards N|auto] [--out tests.txt]
-//!                 [--eval-cache N|off] [--no-dedup] [--paranoid-cache]
+//!                 [--out tests.txt] [--eval-cache N|off] [--no-dedup] [--paranoid-cache]
 //!                 [--trace-out trace.jsonl] [--progress] [-v|--verbose] [-q|--quiet]
 //!                 [--metrics-addr 127.0.0.1:9184]
 //!                 [--checkpoint FILE] [--checkpoint-every N|Ns] [--resume FILE]
@@ -25,14 +24,6 @@
 //! knobs it is an execution detail: results are bit-identical at every
 //! width, and a checkpoint taken at one width resumes at another.
 //!
-//! `--fault-shards N` partitions the collapsed fault list into N
-//! contiguous shards, each simulated by its own fault simulator over the
-//! shared netlist (`auto`/`0` = one shard per core). Sharding bounds the
-//! per-simulator working set on large fault lists; like the other
-//! execution knobs it never changes results — detections, scores, and
-//! the result JSON are bit-identical at every shard count, and a
-//! checkpoint taken at one count resumes at another.
-//!
 //! `--fault-report FILE` streams one JSONL record per committed fault
 //! detection as the run progresses, closing with a summary line and an
 //! atomic rename (a crash never leaves a truncated report). On a
@@ -49,14 +40,17 @@
 //! spent producing them.
 //! gatest serve    [--addr HOST:PORT] [--state-dir DIR] [--slice-ticks N]
 //!                 [--queue-depth N] [--runners N] [--port-file FILE]
-//!                 [--result-ttl-secs S]
+//!                 [--result-ttl-secs S] [-q|--quiet]
 //! gatest grade    <circuit> --tests tests.txt [--transition]
+//!                 [--survivors N] [--report FILE]
 //! gatest compact  <circuit> --tests tests.txt [--out compacted.txt]
 //! gatest diagnose <circuit> --tests tests.txt --observe V:PO[,V:PO...]
+//!                 [--top N]
 //! gatest stats    <circuit>
 //! gatest scan     <circuit> [--out scanned.bench]
 //! gatest convert  <circuit> --to bench|verilog|dot [--out file]
-//! gatest hitec    <circuit> [--scoap]
+//! gatest hitec    <circuit> [--scoap] [--frames N] [--backtracks N]
+//!                 [--out tests.txt]
 //! gatest trace    summarize <trace.jsonl>
 //! gatest trace    phases <trace.jsonl>
 //! gatest trace    diff <base.jsonl> <new.jsonl> [--threshold PCT] [--no-timing]
@@ -75,10 +69,11 @@
 //! path to a `.bench` / `.v` netlist.
 //!
 //! Exit codes follow convention: `0` on success, `1` on runtime errors
-//! (unreadable files, failed runs), `2` on usage errors (unknown commands or
-//! flags, missing arguments), `3` when an `atpg` run stopped early but
-//! gracefully — on SIGINT/SIGTERM or an exhausted `--max-wall-secs` /
-//! `--max-evals` budget — with its state checkpointed for `--resume`.
+//! (unreadable files, failed runs), `2` on usage errors (unknown commands,
+//! flags the command does not take, missing arguments), `3` when an `atpg`
+//! run stopped early but gracefully — on SIGINT/SIGTERM or an exhausted
+//! `--max-wall-secs` / `--max-evals` budget — with its state checkpointed
+//! for `--resume`.
 
 use std::error::Error;
 use std::process::ExitCode;
@@ -150,11 +145,8 @@ fn usage() -> String {
     s.push_str("fitness-evaluation pool; --sim-threads N sizes the fault-group\n");
     s.push_str("pool inside each simulator; 0 or `auto` uses all available\n");
     s.push_str("cores; --sim-width scalar64|wide256|auto picks the packed backend\n");
-    s.push_str("(64 or 256 fault machines per word; auto = wide256); --fault-shards N\n");
-    s.push_str("partitions the fault list into N independent simulators (auto = one\n");
-    s.push_str("per core) to bound the working set on large fault lists; results are\n");
-    s.push_str("bit-identical at every workers/sim-threads/sim-width/fault-shards\n");
-    s.push_str("combination\n");
+    s.push_str("(64 or 256 fault machines per word; auto = wide256); results are\n");
+    s.push_str("bit-identical at every workers/sim-threads/sim-width combination\n");
     s.push_str("\nmemoization (atpg): --eval-cache N bounds the fitness cache\n");
     s.push_str("(default 4096; `off` disables cache, dedup, and prefix sharing);\n");
     s.push_str("--no-dedup keeps duplicate chromosomes' evaluations; --paranoid-cache\n");
@@ -177,13 +169,66 @@ fn usage() -> String {
     s.push_str("with reason; default keeps them forever);\n");
     s.push_str("SIGTERM drains gracefully: running jobs are checkpointed and resume\n");
     s.push_str("on the next start with the same --state-dir\n");
-    s.push_str("\nrun `gatest <command> --help` style flags are listed in the module docs;\n");
+    s.push_str("\neach command rejects flags it does not take (exit code 2);\n");
     s.push_str("circuits are bundled names (s27, s298, ...) or .bench/.v file paths\n");
     s
 }
 
+/// The long flags each subcommand reads (`-v`/`-q` parse as `verbose` /
+/// `quiet`); `None` for an unknown command.
+fn known_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "atpg" => &[
+            "seed",
+            "sample",
+            "workers",
+            "threads",
+            "sim-threads",
+            "sim-width",
+            "out",
+            "eval-cache",
+            "no-dedup",
+            "paranoid-cache",
+            "trace-out",
+            "progress",
+            "verbose",
+            "quiet",
+            "metrics-addr",
+            "checkpoint",
+            "checkpoint-every",
+            "resume",
+            "max-wall-secs",
+            "max-evals",
+            "result-json",
+            "fault-report",
+        ],
+        "serve" => &[
+            "addr",
+            "state-dir",
+            "slice-ticks",
+            "queue-depth",
+            "runners",
+            "port-file",
+            "result-ttl-secs",
+            "quiet",
+        ],
+        "grade" => &["tests", "transition", "survivors", "report"],
+        "compact" => &["tests", "out"],
+        "diagnose" => &["tests", "observe", "top"],
+        "stats" => &[],
+        "scan" => &["out"],
+        "convert" => &["to", "out"],
+        "hitec" => &["scoap", "frames", "backtracks", "out"],
+        "trace" => &["threshold", "no-timing"],
+        _ => return None,
+    })
+}
+
 fn run(command: &str, args: Vec<String>) -> Result<ExitCode, Box<dyn Error>> {
     let opts = Opts::parse(args)?;
+    if let Some(known) = known_flags(command) {
+        opts.check_flags(command, known)?;
+    }
     let done = |r: Result<(), Box<dyn Error>>| r.map(|()| ExitCode::SUCCESS);
     match command {
         "atpg" => commands::atpg(&opts),
@@ -217,5 +262,54 @@ pub(crate) fn load_circuit(spec: &str) -> Result<Arc<Circuit>, Box<dyn Error>> {
         Ok(Arc::new(gatest_netlist::verilog::parse_verilog(&text)?))
     } else {
         Ok(Arc::new(gatest_netlist::parse_bench(name, &text)?))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn long_flags(text: &str) -> impl Iterator<Item = &str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .filter(|flag| !flag.is_empty())
+    }
+
+    /// Every flag in a command's synopsis (the module docs) parses for it.
+    #[test]
+    fn synopsis_flags_are_known_to_their_command() {
+        let mut command = None;
+        for line in include_str!("main.rs").lines() {
+            let Some(doc) = line.strip_prefix("//! ") else {
+                continue;
+            };
+            if let Some(rest) = doc.strip_prefix("gatest ") {
+                command = rest.split_whitespace().next();
+            } else if !doc.starts_with("    ") {
+                command = None;
+            }
+            let Some(command) = command else { continue };
+            let known = known_flags(command).expect("synopsis names a real command");
+            for flag in long_flags(doc) {
+                assert!(known.contains(&flag), "gatest {command} --{flag}");
+            }
+        }
+    }
+
+    /// Every flag the `--help` text mentions parses for some command.
+    #[test]
+    fn usage_flags_are_known() {
+        let commands = [
+            "atpg", "serve", "grade", "compact", "diagnose", "stats", "scan", "convert", "hitec",
+            "trace",
+        ];
+        for flag in long_flags(&usage()) {
+            assert!(
+                commands
+                    .iter()
+                    .any(|c| known_flags(c).unwrap().contains(&flag)),
+                "--{flag}"
+            );
+        }
     }
 }

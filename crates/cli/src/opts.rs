@@ -102,6 +102,22 @@ impl Opts {
     pub fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)
     }
+
+    /// Fails with a usage error naming the first long flag (in name order)
+    /// that `command` does not take, so a mistyped or retired flag is never
+    /// silently ignored.
+    pub fn check_flags(&self, command: &str, known: &[&str]) -> Result<(), Box<dyn Error>> {
+        let unknown = self
+            .flags
+            .keys()
+            .filter(|name| !known.contains(&name.as_str()));
+        match unknown.min() {
+            Some(name) => Err(UsageError::boxed(format!(
+                "unknown flag `--{name}` for `gatest {command}`"
+            ))),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -167,6 +183,20 @@ mod tests {
     fn unknown_short_flag_is_a_usage_error() {
         let err = Opts::parse(vec![String::from("-z")]).unwrap_err();
         assert!(err.downcast_ref::<UsageError>().is_some());
+    }
+
+    #[test]
+    fn flags_outside_the_known_set_are_usage_errors() {
+        let o = parse(&["s27", "--seed", "7", "-q", "--sim-widht", "wide256"]);
+        assert!(o
+            .check_flags("atpg", &["seed", "quiet", "sim-width"])
+            .is_err());
+        let err = o.check_flags("atpg", &["seed", "quiet"]).unwrap_err();
+        assert!(err.downcast_ref::<UsageError>().is_some());
+        assert!(err.to_string().contains("`--sim-widht`"), "{err}");
+        assert!(o
+            .check_flags("atpg", &["seed", "quiet", "sim-widht"])
+            .is_ok());
     }
 
     #[test]

@@ -115,12 +115,17 @@ fn missing_flag_is_reported() {
 
 #[test]
 fn usage_errors_exit_with_code_2() {
-    // Missing circuit argument, unknown command, unknown flag, unknown
-    // sim width: all usage.
+    // Missing circuit argument, unknown command, unknown or retired flag,
+    // a flag another command takes, unknown sim width: all usage. The
+    // budget keeps a run short should a flag ever be ignored again.
     for args in [
         &["atpg"][..],
         &["frobnicate", "s27"][..],
         &["atpg", "s27", "-z"][..],
+        &["atpg", "s27", "--fault-shards", "2", "--max-evals", "50"][..],
+        &["atpg", "s27", "--no-such-flag", "1", "--max-evals", "50"][..],
+        &["atpg", "s27", "--sim-widht", "wide256", "--max-evals", "50"][..],
+        &["stats", "s27", "--seed", "1"][..],
         &["atpg", "s27", "--sim-width", "1024"][..],
         &["atpg", "s27", "--sim-width", "wide512"][..],
         &["atpg", "s27", "--sim-width", "512"][..],

@@ -48,15 +48,12 @@ pub const MAGIC: [u8; 8] = *b"GATESTCP";
 /// Current checkpoint format version. Version 2 added the evaluation epoch
 /// (the fitness cache's invalidation key) and the memoization counters;
 /// version 3 added the wide-backend counters (`wide_groups`,
-/// `lanes_per_group`); version 4 stores the simulator state as a vector of
-/// per-shard [`SimState`]s (in shard order) and persists the full current
-/// counter set. Older files are rejected with
-/// [`CheckpointError::VersionMismatch`]. Note that neither the simulation
-/// backend nor the shard count is stored: like thread counts, they are
-/// execution details that cannot change results, so a run may resume under
-/// a different `--sim-width` or `--fault-shards` than it was checkpointed
-/// with (resume concatenates the shard states and re-splits them under its
-/// own plan).
+/// `lanes_per_group`); version 4 stores the simulator state as a list of
+/// [`SimState`]s and persists the full counter set. Older files are
+/// rejected with [`CheckpointError::VersionMismatch`]. The simulation
+/// backend is not stored: like thread counts, it is an execution detail
+/// that cannot change results, so a run may resume under a different
+/// `--sim-width` than it was checkpointed with.
 pub const VERSION: u32 = 4;
 
 /// A complete, serializable snapshot of an in-progress (or finished)
@@ -103,12 +100,8 @@ pub struct RunSnapshot {
     /// Where in the flow the run stopped.
     pub pos: SnapshotPos,
     /// The fault simulator's complete mutable state at the stop point (for
-    /// a stop mid-GA-invocation: the state at the invocation's start), one
-    /// entry per fault shard in shard order. An unsharded run stores a
-    /// single entry; resume concatenates the entries and re-splits them
-    /// under its own shard plan, so the shard count may change across a
-    /// checkpoint boundary without affecting results.
-    pub sim: Vec<SimState>,
+    /// a stop mid-GA-invocation: the state at the invocation's start).
+    pub sim: SimState,
     /// Telemetry counter totals at the stop point.
     pub counters: CounterSnapshot,
 }
@@ -235,9 +228,9 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Digest of every configuration field that influences the search path
 /// (everything except the seed — stored separately — and the runtime-only
-/// knobs `parallel_workers`, `sim_threads`, `sim_width`, `fault_shards`,
-/// the two budget limits, and the memoization knobs `eval_cache_entries` /
-/// `dedup` / `paranoid_cache`, which are all bit-identity-neutral). Resume
+/// knobs `parallel_workers`, `sim_threads`, `sim_width`, the two budget
+/// limits, and the memoization knobs `eval_cache_entries` / `dedup` /
+/// `paranoid_cache`, which are all bit-identity-neutral). Resume
 /// compares this digest so a checkpoint is never silently continued under
 /// a different configuration.
 pub fn config_digest(config: &GatestConfig) -> u64 {
@@ -449,6 +442,28 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// Joins the stored simulator states into one. Files written by builds
+/// that sharded the fault list hold one state per shard, in fault order,
+/// each carrying a copy of the same good machine.
+fn concat_states(states: Vec<SimState>) -> Result<SimState, CheckpointError> {
+    let mut states = states.into_iter();
+    let mut sim = states.next().expect("at least one state");
+    for (i, state) in states.enumerate() {
+        if state.good_values != sim.good_values
+            || state.good_next_state != sim.good_next_state
+            || state.vectors_applied != sim.vectors_applied
+        {
+            return Err(CheckpointError::Corrupt(format!(
+                "simulator state {} disagrees with state 0 on the good machine or vectors applied",
+                i + 1
+            )));
+        }
+        sim.status.extend(state.status);
+        sim.faulty_ff.extend(state.faulty_ff);
+    }
+    Ok(sim)
+}
+
 impl RunSnapshot {
     /// Serializes to the versioned binary format described at the module
     /// level, checksum included.
@@ -517,30 +532,31 @@ impl RunSnapshot {
             }
             SnapshotPos::Done => e.u8(2),
         }
-        e.u64(self.sim.len() as u64);
-        for sim in &self.sim {
-            e.logics(&sim.good_values);
-            e.logics(&sim.good_next_state);
-            e.u64(sim.status.len() as u64);
-            for s in &sim.status {
-                match s {
-                    FaultStatus::Undetected => e.u8(0),
-                    FaultStatus::Detected { vector } => {
-                        e.u8(1);
-                        e.u32(*vector);
-                    }
+        // The format stores a list of simulator states; this build writes
+        // exactly one.
+        e.u64(1);
+        let sim = &self.sim;
+        e.logics(&sim.good_values);
+        e.logics(&sim.good_next_state);
+        e.u64(sim.status.len() as u64);
+        for s in &sim.status {
+            match s {
+                FaultStatus::Undetected => e.u8(0),
+                FaultStatus::Detected { vector } => {
+                    e.u8(1);
+                    e.u32(*vector);
                 }
             }
-            e.u64(sim.faulty_ff.len() as u64);
-            for entries in &sim.faulty_ff {
-                e.u64(entries.len() as u64);
-                for &(dff, value) in entries {
-                    e.u32(dff);
-                    e.logic(value);
-                }
-            }
-            e.u32(sim.vectors_applied);
         }
+        e.u64(sim.faulty_ff.len() as u64);
+        for entries in &sim.faulty_ff {
+            e.u64(entries.len() as u64);
+            for &(dff, value) in entries {
+                e.u32(dff);
+                e.logic(value);
+            }
+        }
+        e.u32(sim.vectors_applied);
         let c = &self.counters;
         for v in [
             c.step_calls,
@@ -567,8 +583,9 @@ impl RunSnapshot {
             c.events_amortized,
             c.commit_batch_frames,
             c.csr_bytes,
-            c.shard_tasks,
-            c.shard_merge_ns,
+            // Two retired counter slots, always zero.
+            0,
+            0,
             c.report_records_streamed,
         ] {
             e.u64(v);
@@ -667,13 +684,13 @@ impl RunSnapshot {
                 )))
             }
         };
-        let nshards = d.len("sim.shards")?;
-        if nshards == 0 {
+        let nstates = d.len("sim.states")?;
+        if nstates == 0 {
             return Err(CheckpointError::Corrupt(
-                "checkpoint holds zero simulator shards".to_string(),
+                "checkpoint holds zero simulator states".to_string(),
             ));
         }
-        let sim = (0..nshards)
+        let states = (0..nstates)
             .map(|_| {
                 let good_values = d.logics("sim.good_values")?;
                 let good_next_state = d.logics("sim.good_next_state")?;
@@ -712,6 +729,7 @@ impl RunSnapshot {
                 })
             })
             .collect::<Result<Vec<_>, CheckpointError>>()?;
+        let sim = concat_states(states)?;
         let mut counter_fields = [0u64; 27];
         for v in &mut counter_fields {
             *v = d.u64("counters")?;
@@ -741,8 +759,6 @@ impl RunSnapshot {
             events_amortized: counter_fields[21],
             commit_batch_frames: counter_fields[22],
             csr_bytes: counter_fields[23],
-            shard_tasks: counter_fields[24],
-            shard_merge_ns: counter_fields[25],
             report_records_streamed: counter_fields[26],
         };
         if d.pos != d.buf.len() {
@@ -862,22 +878,17 @@ mod tests {
                     diversity_history: vec![2.0, 1.5, 1.0],
                 }),
             },
-            sim: vec![
-                SimState {
-                    good_values: vec![Logic::One, Logic::Zero, Logic::X],
-                    good_next_state: vec![Logic::X, Logic::One],
-                    status: vec![FaultStatus::Undetected, FaultStatus::Detected { vector: 1 }],
-                    faulty_ff: vec![vec![], vec![(0, Logic::One)]],
-                    vectors_applied: 2,
-                },
-                SimState {
-                    good_values: vec![Logic::One, Logic::Zero, Logic::X],
-                    good_next_state: vec![Logic::X, Logic::One],
-                    status: vec![FaultStatus::Undetected],
-                    faulty_ff: vec![vec![(1, Logic::Zero)]],
-                    vectors_applied: 2,
-                },
-            ],
+            sim: SimState {
+                good_values: vec![Logic::One, Logic::Zero, Logic::X],
+                good_next_state: vec![Logic::X, Logic::One],
+                status: vec![
+                    FaultStatus::Undetected,
+                    FaultStatus::Detected { vector: 1 },
+                    FaultStatus::Undetected,
+                ],
+                faulty_ff: vec![vec![], vec![(0, Logic::One)], vec![(1, Logic::Zero)]],
+                vectors_applied: 2,
+            },
             counters: CounterSnapshot {
                 step_calls: 100,
                 gate_evals: 5000,
@@ -890,8 +901,6 @@ mod tests {
                 events_amortized: 77,
                 commit_batch_frames: 11,
                 csr_bytes: 4096,
-                shard_tasks: 6,
-                shard_merge_ns: 1234,
                 report_records_streamed: 2,
                 ..CounterSnapshot::default()
             },
@@ -906,6 +915,22 @@ mod tests {
         assert_eq!(snap, back);
         // Save → load → save is byte-identical.
         assert_eq!(bytes, back.encode());
+    }
+
+    #[test]
+    fn retired_counter_slots_are_written_as_zero_and_ignored() {
+        let bytes = sample_snapshot().encode();
+        let slot = |i: usize| bytes.len() - 8 - (27 - i) * 8;
+        for i in [24, 25] {
+            assert_eq!(bytes[slot(i)..slot(i) + 8], [0u8; 8], "slot {i}");
+        }
+        let mut old = bytes.clone();
+        old[slot(24)..slot(24) + 8].copy_from_slice(&6u64.to_le_bytes());
+        old[slot(25)..slot(25) + 8].copy_from_slice(&1234u64.to_le_bytes());
+        let n = old.len() - 8;
+        let crc = fnv1a(FNV_OFFSET, &old[..n]);
+        old[n..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(RunSnapshot::decode(&old).unwrap(), sample_snapshot());
     }
 
     #[test]
@@ -931,7 +956,7 @@ mod tests {
     #[test]
     fn old_versions_are_rejected_with_the_found_version() {
         // Version 2 added the eval epoch and memoization counters; version 3
-        // added the wide-backend counters; version 4 stores per-shard sim
+        // added the wide-backend counters; version 4 stores a list of sim
         // states and the full counter set. Older files lack those fields,
         // so decoding must refuse them up front rather than misinterpret
         // the stream.
@@ -996,7 +1021,6 @@ mod tests {
         b.dedup = false;
         b.paranoid_cache = true;
         b.sim_width = gatest_sim::SimBackend::Wide256;
-        b.fault_shards = 8;
         assert_eq!(config_digest(&a), config_digest(&b), "runtime knobs");
         let mut c = a.clone();
         c.generations = 9;

@@ -20,8 +20,8 @@ use gatest_ga::{
 use gatest_netlist::depth::sequential_depth;
 use gatest_netlist::Circuit;
 use gatest_sim::{
-    FaultId, FaultList, FaultReportWriter, GoodSim, Logic, PackedGoodSim, PackedValue, Pv256, Pv64,
-    ShardedFaultSim, SimBackend, StepReport,
+    FaultId, FaultList, FaultReportWriter, FaultSim, GoodSim, Logic, PackedGoodSim, PackedValue,
+    Pv256, Pv64, SimBackend, StepReport,
 };
 use gatest_telemetry::{
     Instruments, NullObserver, RunEvent, RunObserver, SimCounters, SpanHandle, SpanKind,
@@ -199,7 +199,7 @@ impl ResumeError {
 /// ```
 pub struct TestGenerator {
     circuit: Arc<Circuit>,
-    sim: ShardedFaultSim,
+    sim: FaultSim,
     config: GatestConfig,
     rng: Rng,
     seq_depth: u32,
@@ -311,25 +311,15 @@ struct DriverCtx {
 }
 
 impl TestGenerator {
-    /// Creates a generator over the collapsed fault list of `circuit`,
-    /// partitioned into the configuration's fault shards.
+    /// Creates a generator over the collapsed fault list of `circuit`.
     pub fn new(circuit: Arc<Circuit>, config: GatestConfig) -> Self {
         let faults = FaultList::collapsed(&circuit);
         Self::with_faults(circuit, faults, config)
     }
 
-    /// Creates a generator over a caller-supplied fault list, partitioned
-    /// into the configuration's fault shards.
+    /// Creates a generator over a caller-supplied fault list.
     pub fn with_faults(circuit: Arc<Circuit>, faults: FaultList, config: GatestConfig) -> Self {
-        let sim = ShardedFaultSim::with_shards(
-            Arc::clone(&circuit),
-            faults,
-            config.resolved_fault_shards(),
-        );
-        Self::from_parts(circuit, sim, config)
-    }
-
-    fn from_parts(circuit: Arc<Circuit>, mut sim: ShardedFaultSim, config: GatestConfig) -> Self {
+        let mut sim = FaultSim::with_faults(Arc::clone(&circuit), faults);
         let rng = Rng::new(config.seed);
         let seq_depth = sequential_depth(&circuit);
         let counters = Arc::new(SimCounters::new());
@@ -393,7 +383,7 @@ impl TestGenerator {
     }
 
     /// The fault simulator (e.g. to inspect per-fault status after a run).
-    pub fn sim(&self) -> &ShardedFaultSim {
+    pub fn sim(&self) -> &FaultSim {
         &self.sim
     }
 
@@ -508,7 +498,7 @@ impl TestGenerator {
             ));
         }
         self.sim
-            .import_states(&snapshot.sim)
+            .import_state(&snapshot.sim)
             .map_err(|e| ResumeError::new(format!("checkpoint simulator state: {e}")))?;
         self.rng = Rng::from_state(snapshot.master_rng);
         self.counters.load_snapshot(&snapshot.counters);
@@ -1219,8 +1209,8 @@ impl TestGenerator {
             MachinePos::Done => SnapshotPos::Done,
         };
         let sim = match m.pos.active_ga() {
-            Some(ga) => ga.ctx.checkpoint.export_states(),
-            None => self.sim.export_states(),
+            Some(ga) => ga.ctx.checkpoint.export_state(),
+            None => self.sim.export_state(),
         };
         RunSnapshot {
             circuit: self.circuit.name().to_string(),
@@ -1521,7 +1511,7 @@ impl PackedGood {
 /// configured, or the serial scoring loop. All paths are bit-identical; the
 /// choice is pure mechanism.
 struct RawEval<'a> {
-    sim: &'a mut ShardedFaultSim,
+    sim: &'a mut FaultSim,
     counters: &'a SimCounters,
     pool: Option<&'a EvalPool>,
     packed: Option<&'a mut PackedGood>,
@@ -1744,7 +1734,7 @@ mod tests {
         let result = tg.run();
 
         // Replay the produced test set through a fresh fault simulator.
-        let mut sim = ShardedFaultSim::new(circuit);
+        let mut sim = FaultSim::new(circuit);
         for v in &result.test_set {
             sim.step(v);
         }
@@ -1897,7 +1887,7 @@ mod tests {
         config.fault_sample = FaultSample::Count(100);
         let result = TestGenerator::new(Arc::clone(&circuit), config).run();
 
-        let mut random_sim = ShardedFaultSim::new(circuit);
+        let mut random_sim = FaultSim::new(circuit);
         let mut rng = Rng::new(17);
         for _ in 0..result.vectors() {
             let v: Vec<Logic> = (0..3).map(|_| Logic::from_bool(rng.coin())).collect();

@@ -156,17 +156,6 @@ pub fn telemetry_table(result: &TestGenResult) -> String {
             t.counters.csr_bytes as f64 / 1_000.0
         );
     }
-    // Shard counters are zero for unsharded (K = 1) runs and absent in
-    // traces from before the sharded-fault-sim work; same hiding rule.
-    if t.counters.shard_tasks > 0 {
-        let _ = writeln!(out, "{:<22} {:>10}", "shard tasks", t.counters.shard_tasks);
-        let _ = writeln!(
-            out,
-            "{:<22} {:>9.2}s",
-            "shard merge",
-            t.counters.shard_merge_ns as f64 / 1e9
-        );
-    }
     if t.counters.report_records_streamed > 0 {
         let _ = writeln!(
             out,
@@ -541,8 +530,6 @@ mod tests {
                     events_amortized: 2_100,
                     commit_batch_frames: 18,
                     csr_bytes: 64_000,
-                    shard_tasks: 24,
-                    shard_merge_ns: 900_000,
                     report_records_streamed: 25,
                 },
                 spans: SpanSnapshot {
@@ -643,8 +630,6 @@ mod tests {
             "cache misses",
             "dedup skips",
             "prefix frames saved",
-            "shard tasks",
-            "shard merge",
             "report records",
             "stop cause",
         ] {
@@ -677,8 +662,6 @@ mod tests {
         r.telemetry.counters.events_amortized = 0;
         r.telemetry.counters.commit_batch_frames = 0;
         r.telemetry.counters.csr_bytes = 0;
-        r.telemetry.counters.shard_tasks = 0;
-        r.telemetry.counters.shard_merge_ns = 0;
         r.telemetry.counters.report_records_streamed = 0;
         let table = telemetry_table(&r);
         assert!(!table.contains("wide groups"), "{table}");
@@ -686,8 +669,6 @@ mod tests {
         assert!(!table.contains("events amortized"), "{table}");
         assert!(!table.contains("batched frames"), "{table}");
         assert!(!table.contains("csr adjacency"), "{table}");
-        assert!(!table.contains("shard tasks"), "{table}");
-        assert!(!table.contains("shard merge"), "{table}");
         assert!(!table.contains("report records"), "{table}");
     }
 

@@ -201,11 +201,6 @@ pub struct FaultSim {
     /// Requested fault-group parallelism: 1 = serial (default), 0 = one
     /// thread per available core, N = exactly N threads.
     sim_threads: usize,
-    /// Whether this simulator is the lead shard for telemetry purposes.
-    /// Follower shards (in a [`crate::ShardedFaultSim`]) record real work
-    /// (gate evaluations, faulty events, restore traffic) but not logical
-    /// tallies (step calls, good events), which the lead already counted.
-    lead: bool,
 }
 
 /// One backend's execution state: the simulator's own propagation arena,
@@ -300,7 +295,6 @@ impl Clone for FaultSim {
             backend: self.backend,
             engine: self.engine.clone(),
             sim_threads: self.sim_threads,
-            lead: self.lead,
         }
     }
 }
@@ -315,14 +309,6 @@ impl FaultSim {
     /// Creates a simulator over a caller-supplied fault list.
     pub fn with_faults(circuit: Arc<Circuit>, faults: FaultList) -> Self {
         let good = GoodSim::new(Arc::clone(&circuit));
-        Self::with_good(good, faults)
-    }
-
-    /// Creates a simulator adopting a donor good machine (typically a clone
-    /// of another shard's, so the `Arc`-shared levelization/CSR is reused
-    /// instead of rebuilt per shard).
-    pub(crate) fn with_good(good: GoodSim, faults: FaultList) -> Self {
-        let circuit = Arc::clone(good.circuit());
         let nfaults = faults.len();
         let max_level = good.levelization().max_level() as usize;
         let comb_gates = circuit
@@ -349,20 +335,7 @@ impl FaultSim {
             backend,
             engine,
             sim_threads: 1,
-            lead: true,
         }
-    }
-
-    /// Marks this simulator as a follower shard: real-work counters still
-    /// accumulate, logical tallies are left to the lead shard.
-    pub(crate) fn set_lead(&mut self, lead: bool) {
-        self.lead = lead;
-    }
-
-    /// The shared active-fault list pointer (for the sharded wrapper's
-    /// zero-copy single-shard fast path).
-    pub(crate) fn active_arc(&self) -> Arc<Vec<FaultId>> {
-        Arc::clone(&self.active)
     }
 
     /// The circuit under simulation.
@@ -541,11 +514,7 @@ impl FaultSim {
         self.vectors_applied += 1;
         let report = self.good.apply(vector);
         if let Some(counters) = &self.counters {
-            if self.lead {
-                counters.record_good_only(self.comb_gates, report.events);
-            } else {
-                counters.record_follower_step(self.comb_gates, 0);
-            }
+            counters.record_good_only(self.comb_gates, report.events);
         }
         report
     }
@@ -637,15 +606,7 @@ impl FaultSim {
         };
         if let Some(counters) = &self.counters {
             for report in &reports {
-                if self.lead {
-                    counters.record_step(
-                        report.gate_evals,
-                        report.good_events,
-                        report.faulty_events,
-                    );
-                } else {
-                    counters.record_follower_step(report.gate_evals, report.faulty_events);
-                }
+                counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
             }
             counters.record_scratch_reuse(scratch_bytes);
             counters.record_events_amortized(events_amortized);
@@ -733,11 +694,7 @@ impl FaultSim {
             ),
         };
         if let Some(counters) = &self.counters {
-            if self.lead {
-                counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
-            } else {
-                counters.record_follower_step(report.gate_evals, report.faulty_events);
-            }
+            counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
             counters.record_scratch_reuse(scratch_bytes);
             counters.record_events_amortized(events_amortized);
             if let Some((tasks, steal_ns, _)) = group_dispatch {
@@ -808,11 +765,7 @@ impl FaultSim {
     pub fn restore(&mut self, cp: &Checkpoint) {
         assert_eq!(cp.status.len(), self.status.len());
         if let Some(counters) = &self.counters {
-            if self.lead {
-                counters.record_restore(Self::deep_restore_bytes(cp));
-            } else {
-                counters.record_follower_restore(Self::deep_restore_bytes(cp));
-            }
+            counters.record_restore(Self::deep_restore_bytes(cp));
         }
         self.good.restore(&cp.good);
         if !Arc::ptr_eq(&self.status, &cp.status) {
@@ -883,11 +836,7 @@ impl FaultSim {
     /// Returns [`SimStateError`], leaving the simulator unchanged, if the
     /// state does not fit this simulator's circuit or fault list.
     pub fn import_state(&mut self, state: &SimState) -> Result<(), SimStateError> {
-        check_states(
-            &self.circuit,
-            self.faults.len(),
-            std::slice::from_ref(state),
-        )?;
+        check_state(&self.circuit, self.faults.len(), state)?;
         self.good.restore(&GoodSimState::from_parts(
             state.good_values.clone(),
             state.good_next_state.clone(),
@@ -944,56 +893,50 @@ impl std::fmt::Display for SimStateError {
 
 impl std::error::Error for SimStateError {}
 
-/// Checks that `states`, concatenated in order, fit a simulator of
-/// `circuit` over `num_faults` faults: every length the import paths copy
-/// and every flip-flop index the group engine dereferences.
-pub(crate) fn check_states(
+/// Checks that `state` fits a simulator of `circuit` over `num_faults`
+/// faults: every length the importer copies and every flip-flop index the
+/// group engine dereferences.
+fn check_state(
     circuit: &Circuit,
     num_faults: usize,
-    states: &[SimState],
+    state: &SimState,
 ) -> Result<(), SimStateError> {
     let fail = |msg: String| Err(SimStateError(msg));
-    let Some(first) = states.first() else {
-        return fail("no simulator states".into());
-    };
-    let total: usize = states.iter().map(|s| s.status.len()).sum();
-    if total != num_faults {
+    let (nets, nffs) = (circuit.num_gates(), circuit.num_dffs());
+    if state.status.len() != num_faults {
         return fail(format!(
-            "fault count mismatch: states cover {total} faults, simulator has {num_faults}"
+            "fault count mismatch: state covers {} faults, simulator has {num_faults}",
+            state.status.len()
         ));
     }
-    let (nets, nffs) = (circuit.num_gates(), circuit.num_dffs());
-    for (i, s) in states.iter().enumerate() {
-        if s.faulty_ff.len() != s.status.len() {
-            return fail(format!(
-                "state {i}: faulty-FF table has {} entries for {} faults",
-                s.faulty_ff.len(),
-                s.status.len()
-            ));
-        }
-        if s.good_values.len() != nets {
-            return fail(format!(
-                "state {i}: net count mismatch: {} good values for {nets} nets",
-                s.good_values.len()
-            ));
-        }
-        if s.good_next_state.len() != nffs {
-            return fail(format!(
-                "state {i}: flip-flop count mismatch: {} next-state values for {nffs} flip-flops",
-                s.good_next_state.len()
-            ));
-        }
-        if s.vectors_applied != first.vectors_applied {
-            return fail(format!(
-                "state {i}: {} vectors applied, state 0 has {}",
-                s.vectors_applied, first.vectors_applied
-            ));
-        }
-        if let Some(&(ff, _)) = s.faulty_ff.iter().flatten().find(|e| e.0 as usize >= nffs) {
-            return fail(format!(
-                "state {i}: faulty flip-flop index {ff} out of range ({nffs} flip-flops)"
-            ));
-        }
+    if state.faulty_ff.len() != state.status.len() {
+        return fail(format!(
+            "faulty-FF table has {} entries for {} faults",
+            state.faulty_ff.len(),
+            state.status.len()
+        ));
+    }
+    if state.good_values.len() != nets {
+        return fail(format!(
+            "net count mismatch: {} good values for {nets} nets",
+            state.good_values.len()
+        ));
+    }
+    if state.good_next_state.len() != nffs {
+        return fail(format!(
+            "flip-flop count mismatch: {} next-state values for {nffs} flip-flops",
+            state.good_next_state.len()
+        ));
+    }
+    if let Some(&(ff, _)) = state
+        .faulty_ff
+        .iter()
+        .flatten()
+        .find(|e| e.0 as usize >= nffs)
+    {
+        return fail(format!(
+            "faulty flip-flop index {ff} out of range ({nffs} flip-flops)"
+        ));
     }
     Ok(())
 }

@@ -68,7 +68,6 @@ pub(crate) mod group;
 pub(crate) mod grouppool;
 pub mod packed_good;
 pub mod ppsfp;
-pub mod shard;
 pub mod state_space;
 pub mod transition;
 pub mod value;
@@ -80,9 +79,24 @@ pub use fault_report::{FaultReportWriter, StreamRecord, StreamSummary};
 pub use fsim::{Checkpoint, FaultSim, SimState, SimStateError, StepReport};
 pub use good_sim::{GoodSim, GoodSimState, GoodStepReport};
 pub use packed_good::PackedGoodSim;
-pub use shard::{ShardCheckpoint, ShardPlan, ShardedFaultSim};
 pub use transition::{Slow, TransitionFault, TransitionFaultSim};
 pub use value::{LaneMask, Logic, Mask256, PackedValue, Pv256, Pv64, SimBackend};
+
+// The frozen benchmark harness in `perfbench/` still names these; they
+// forward to the one fault simulator and carry no behavior of their own.
+#[doc(hidden)]
+pub type ShardedFaultSim = FaultSim;
+
+impl FaultSim {
+    #[doc(hidden)]
+    pub fn with_shards(
+        circuit: std::sync::Arc<gatest_netlist::Circuit>,
+        faults: FaultList,
+        _: usize,
+    ) -> Self {
+        Self::with_faults(circuit, faults)
+    }
+}
 
 /// The s27 circuit for intra-crate tests.
 #[cfg(test)]

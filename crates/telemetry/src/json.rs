@@ -574,8 +574,6 @@ mod tests {
                         events_amortized: 5_600,
                         commit_batch_frames: 24,
                         csr_bytes: 96_000,
-                        shard_tasks: 16,
-                        shard_merge_ns: 410_000,
                         report_records_streamed: 9,
                     },
                     spans: SpanSnapshot {

@@ -120,40 +120,28 @@ fn arbitrary_snapshot(seed: u64) -> RunSnapshot {
         elapsed_ns: mix.next(),
         eval_epoch: mix.below(10_000),
         pos,
-        sim: {
-            // v4 stores one state per fault shard; split the universe into
-            // 1-3 contiguous shares like a ShardPlan would.
-            let shards = 1 + mix.below(3) as usize;
-            let vectors_applied = mix.below(10_000) as u32;
-            (0..shards)
-                .map(|s| {
-                    let lo = nfaults * s / shards;
-                    let hi = nfaults * (s + 1) / shards;
-                    SimState {
-                        good_values: mix.logics(20),
-                        good_next_state: mix.logics(nffs),
-                        status: (lo..hi)
-                            .map(|_| {
-                                if mix.next() & 1 == 1 {
-                                    FaultStatus::Detected {
-                                        vector: mix.below(1000) as u32,
-                                    }
-                                } else {
-                                    FaultStatus::Undetected
-                                }
-                            })
-                            .collect(),
-                        faulty_ff: (lo..hi)
-                            .map(|_| {
-                                (0..mix.below(3))
-                                    .map(|_| (mix.below(nffs.max(1) as u64) as u32, mix.logic()))
-                                    .collect()
-                            })
-                            .collect(),
-                        vectors_applied,
+        sim: SimState {
+            good_values: mix.logics(20),
+            good_next_state: mix.logics(nffs),
+            status: (0..nfaults)
+                .map(|_| {
+                    if mix.next() & 1 == 1 {
+                        FaultStatus::Detected {
+                            vector: mix.below(1000) as u32,
+                        }
+                    } else {
+                        FaultStatus::Undetected
                     }
                 })
-                .collect()
+                .collect(),
+            faulty_ff: (0..nfaults)
+                .map(|_| {
+                    (0..mix.below(3))
+                        .map(|_| (mix.below(nffs.max(1) as u64) as u32, mix.logic()))
+                        .collect()
+                })
+                .collect(),
+            vectors_applied: mix.below(10_000) as u32,
         },
         counters: CounterSnapshot {
             step_calls: mix.next(),
@@ -168,6 +156,91 @@ fn arbitrary_snapshot(seed: u64) -> RunSnapshot {
             ..CounterSnapshot::default()
         },
     }
+}
+
+/// FNV-1a 64, the checkpoint file's checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Rewrites the trailing checksum so `bytes` passes the integrity check
+/// and decoding reaches the field parsers.
+fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+    let body = bytes.len() - 8;
+    let crc = fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+/// The on-disk encoding of one simulator state.
+fn encode_state(state: &SimState) -> Vec<u8> {
+    fn len(out: &mut Vec<u8>, n: usize) {
+        out.extend_from_slice(&(n as u64).to_le_bytes());
+    }
+    let logic = |l: &Logic| match l {
+        Logic::Zero => 0u8,
+        Logic::One => 1,
+        Logic::X => 2,
+    };
+    let mut out = Vec::new();
+    len(&mut out, state.good_values.len());
+    out.extend(state.good_values.iter().map(logic));
+    len(&mut out, state.good_next_state.len());
+    out.extend(state.good_next_state.iter().map(logic));
+    len(&mut out, state.status.len());
+    for status in &state.status {
+        match status {
+            FaultStatus::Undetected => out.push(0),
+            FaultStatus::Detected { vector } => {
+                out.push(1);
+                out.extend_from_slice(&vector.to_le_bytes());
+            }
+        }
+    }
+    len(&mut out, state.faulty_ff.len());
+    for entries in &state.faulty_ff {
+        len(&mut out, entries.len());
+        for (dff, value) in entries {
+            out.extend_from_slice(&dff.to_le_bytes());
+            out.push(logic(value));
+        }
+    }
+    out.extend_from_slice(&state.vectors_applied.to_le_bytes());
+    out
+}
+
+/// `snap` encoded with its simulator state stored as several pieces: the
+/// layout older builds wrote when they split the fault list across
+/// several simulators.
+fn encode_pieces(snap: &RunSnapshot, pieces: &[SimState]) -> Vec<u8> {
+    let bytes = snap.encode();
+    // The state list sits just before the 27 counters and the checksum.
+    let tail = bytes.len() - 8 - 27 * 8;
+    let start = tail - 8 - encode_state(&snap.sim).len();
+    let mut out = bytes[..start].to_vec();
+    out.extend_from_slice(&(pieces.len() as u64).to_le_bytes());
+    for piece in pieces {
+        out.extend(encode_state(piece));
+    }
+    out.extend_from_slice(&bytes[tail..]);
+    reseal(out)
+}
+
+/// `state` cut into `k` contiguous pieces of its fault list.
+fn split_state(state: &SimState, k: usize) -> Vec<SimState> {
+    let n = state.status.len();
+    (0..k)
+        .map(|i| {
+            let (lo, hi) = (n * i / k, n * (i + 1) / k);
+            SimState {
+                status: state.status[lo..hi].to_vec(),
+                faulty_ff: state.faulty_ff[lo..hi].to_vec(),
+                ..state.clone()
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -195,6 +268,54 @@ proptest! {
         match RunSnapshot::decode(&bytes) {
             Err(_) => {}
             Ok(other) => prop_assert_eq!(other, snap, "only a checksum-bit flip may decode"),
+        }
+    }
+
+    /// A file whose state list holds 1-3 pieces decodes to the snapshot
+    /// with the pieces joined in stored order; one piece is this build's
+    /// own encoding.
+    #[test]
+    fn multi_state_files_decode_to_the_joined_state(seed in any::<u64>(), k in 1usize..4) {
+        let snap = arbitrary_snapshot(seed);
+        prop_assert_eq!(encode_pieces(&snap, std::slice::from_ref(&snap.sim)), snap.encode());
+        let bytes = encode_pieces(&snap, &split_state(&snap.sim, k));
+        prop_assert_eq!(RunSnapshot::decode(&bytes).expect("pieces decode"), snap);
+    }
+
+    /// Cutting a file at any length fails with a typed error, never a
+    /// panic — both as stored (the checksum catches it) and with the
+    /// checksum rewritten so the field parsers meet the cut.
+    #[test]
+    fn truncated_snapshots_fail_with_typed_errors(seed in any::<u64>()) {
+        let bytes = arbitrary_snapshot(seed).encode();
+        for cut in 0..bytes.len() {
+            let err = RunSnapshot::decode(&bytes[..cut]).expect_err("a cut file must not decode");
+            prop_assert!(!matches!(err, CheckpointError::Io(_)), "{err}");
+            if cut >= 20 {
+                let mut resealed = bytes[..cut - 8].to_vec();
+                resealed.extend_from_slice(&[0; 8]);
+                let err = RunSnapshot::decode(&reseal(resealed))
+                    .expect_err("a resealed cut file must not decode");
+                prop_assert!(
+                    matches!(err, CheckpointError::Truncated(_) | CheckpointError::Corrupt(_)),
+                    "{err}"
+                );
+            }
+        }
+    }
+
+    /// Random bit flips behind a rewritten checksum reach every field
+    /// parser; decoding returns a snapshot or a typed error, never panics.
+    #[test]
+    fn bit_flipped_snapshots_never_panic(seed in any::<u64>(), flips in any::<u64>()) {
+        let mut bytes = arbitrary_snapshot(seed).encode();
+        let mut mix = Mix(flips);
+        for _ in 0..1 + mix.below(8) {
+            let idx = 12 + mix.below((bytes.len() - 20) as u64) as usize;
+            bytes[idx] ^= 1 << mix.below(8);
+        }
+        if let Err(err) = RunSnapshot::decode(&reseal(bytes)) {
+            prop_assert!(!matches!(err, CheckpointError::Io(_)), "{err}");
         }
     }
 }
@@ -443,12 +564,13 @@ fn resume_rejects_mismatched_seed_and_circuit() {
 
     // The checksum is easy to recompute, so simulator state that does not
     // fit the circuit must come back as an error, not a panic.
-    let undetected = snap.sim[0]
+    let undetected = snap
+        .sim
         .status
         .iter()
         .position(|s| matches!(s, FaultStatus::Undetected))
         .expect("an early checkpoint leaves faults undetected");
-    let rejects = |needle: &str, corrupt: &dyn Fn(&mut Vec<SimState>)| {
+    let rejects = |needle: &str, corrupt: &dyn Fn(&mut SimState)| {
         let mut bad = snap.clone();
         corrupt(&mut bad.sim);
         let err = s27_generator(3)
@@ -457,25 +579,65 @@ fn resume_rejects_mismatched_seed_and_circuit() {
         assert!(err.to_string().contains(needle), "{needle}: {err}");
     };
     rejects("fault count", &|sim| {
-        sim[0].status.pop();
-        sim[0].faulty_ff.pop();
+        sim.status.pop();
+        sim.faulty_ff.pop();
     });
-    rejects("faulty-FF table", &|sim| sim[0].faulty_ff.push(Vec::new()));
-    rejects("net count", &|sim| sim[0].good_values.push(Logic::X));
+    rejects("faulty-FF table", &|sim| sim.faulty_ff.push(Vec::new()));
+    rejects("net count", &|sim| sim.good_values.push(Logic::X));
     rejects("flip-flop count", &|sim| {
-        sim[0].good_next_state.pop();
-    });
-    rejects("vectors applied", &|sim| {
-        let mut tail = sim[0].clone();
-        tail.status = sim[0].status.split_off(1);
-        tail.faulty_ff = sim[0].faulty_ff.split_off(1);
-        tail.vectors_applied += 1;
-        sim.push(tail);
+        sim.good_next_state.pop();
     });
     // s27 has three flip-flops, so index 3 is one past the end.
     rejects("out of range", &|sim| {
-        sim[0].faulty_ff[undetected].push((3, Logic::One));
+        sim.faulty_ff[undetected].push((3, Logic::One));
     });
+    let _ = std::fs::remove_file(&ck);
+}
+
+/// Checkpoints that store the simulator state in 1-3 pieces, as builds
+/// that split the fault list across several simulators wrote them, resume
+/// to the uninterrupted result byte for byte. Pieces that disagree on the
+/// good machine are refused at decode.
+#[test]
+fn multi_state_checkpoints_resume_bit_identically() {
+    let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
+    let make = || {
+        let mut config = GatestConfig::for_circuit(&circuit).with_seed(21);
+        config.fault_sample = FaultSample::Count(60);
+        TestGenerator::new(Arc::clone(&circuit), config)
+    };
+    let expected = fingerprint(&make().run());
+    let ck = temp_path("s298-pieces");
+    let leg = make().run_controlled(&RunControls {
+        checkpoint_path: Some(ck.clone()),
+        max_ticks: Some(53),
+        ..RunControls::default()
+    });
+    assert_eq!(leg.stop, StopCause::Interrupted);
+    let snap = RunSnapshot::load(&ck).unwrap();
+    for k in 1..=3 {
+        let stored = RunSnapshot::decode(&encode_pieces(&snap, &split_state(&snap.sim, k)))
+            .unwrap_or_else(|e| panic!("{k} pieces: {e}"));
+        let resumed = make().resume(&stored, &RunControls::default()).unwrap();
+        assert_eq!(fingerprint(&resumed), expected, "{k} pieces");
+    }
+    let corruptions: [fn(&mut SimState); 3] = [
+        |s| s.vectors_applied += 1,
+        |s| s.good_values.push(Logic::X),
+        |s| s.good_next_state.push(Logic::X),
+    ];
+    for corrupt in corruptions {
+        let mut pieces = split_state(&snap.sim, 2);
+        corrupt(&mut pieces[1]);
+        match RunSnapshot::decode(&encode_pieces(&snap, &pieces)) {
+            Err(CheckpointError::Corrupt(why)) => assert!(why.contains("state 1"), "{why}"),
+            other => panic!("expected a corrupt-file error, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        RunSnapshot::decode(&encode_pieces(&snap, &[])),
+        Err(CheckpointError::Corrupt(_))
+    ));
     let _ = std::fs::remove_file(&ck);
 }
 

@@ -14,7 +14,7 @@ use gatest_core::{
 };
 use gatest_ga::{Chromosome, Rng};
 use gatest_netlist::benchmarks::iscas89;
-use gatest_sim::{FaultSim, Logic, ShardedFaultSim};
+use gatest_sim::{FaultSim, Logic};
 
 fn random_vector(pis: usize, rng: &mut Rng) -> Vec<Logic> {
     (0..pis).map(|_| Logic::from_bool(rng.coin())).collect()
@@ -73,7 +73,7 @@ proptest! {
         let circuit = Arc::new(iscas89("s344").unwrap());
         let pis = circuit.num_inputs();
         let mut rng = Rng::new(seed);
-        let mut sim = ShardedFaultSim::new(Arc::clone(&circuit));
+        let mut sim = FaultSim::new(Arc::clone(&circuit));
         for _ in 0..3 {
             sim.step(&random_vector(pis, &mut rng));
         }
