@@ -1,16 +1,15 @@
 //! Fault-simulation step-throughput microbenchmark.
 //!
-//! Measures the number the fault-group pool exists to improve: sequential
-//! fault-simulation vectors per second on s1423, at sim-thread counts 1, 2,
-//! 4, and 8. Every thread count replays the same random vector stream from
-//! the same warmed simulator state, and the run asserts that an identity
-//! checksum — step index × fault id over every newly detected fault, plus
-//! every step's faulty-event and flip-flop-effect counts — is bit-identical
-//! across all of them.
+//! Measures sequential fault-simulation vectors per second on s1423: one
+//! `serial` row replaying a random vector stream from a warmed simulator
+//! state, with an identity checksum — step index × fault id over every
+//! newly detected fault, plus every step's faulty-event and
+//! flip-flop-effect counts. Fault groups are always simulated serially;
+//! parallelism lives one level up, in the evaluation pool (`bench_eval`).
 //!
-//! A second `width` section compares the packed-value backends (Pv64 and
-//! Pv256) at serial thread count on s298 and s1423, asserting
-//! the same identity checksum across widths — the backend must change
+//! A `width` section compares the packed-value backends (Pv64 and Pv256)
+//! on s298 and s1423, asserting the same identity checksum across
+//! widths — the backend must change
 //! throughput only, never results. Smoke mode additionally replays a short
 //! stream through one synthetic 10k-gate circuit at every width, so CI
 //! exercises the CSR adjacency and group scheduling at a size where the
@@ -18,7 +17,10 @@
 //!
 //! Prints a JSON document to stdout; `scripts/bench_eval.sh` redirects it to
 //! `BENCH_sim.json` so the performance trajectory is tracked across PRs.
-//! Pass `--smoke` for a fast CI-sized run (same shape, fewer vectors).
+//! Pass `--smoke` for the CI run: the same streams as full mode (step rates
+//! and wide/scalar ratios both drift as detected faults drop out, so the
+//! regression gate in scripts/check_bench.sh compares like with like) plus
+//! the synthetic 10k-gate shakeout.
 //! `--validate FILE` parses FILE as a `BENCH_sim` document and checks its
 //! shape, so CI can assert the smoke output is well-formed.
 
@@ -32,7 +34,6 @@ use gatest_sim::{FaultSim, Logic, SimBackend};
 use gatest_telemetry::json::parse_json;
 
 const CIRCUIT: &str = "s1423";
-const SIM_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Circuits the packed-backend width comparison runs on: one mid-size and
 /// one tier-1-largest, so lane utilization at both group counts is covered.
 const WIDTH_CIRCUITS: [&str; 2] = ["s298", "s1423"];
@@ -40,8 +41,9 @@ const WIDTH_BACKENDS: [SimBackend; 2] = [SimBackend::Scalar64, SimBackend::Wide2
 /// Bumped whenever the document shape changes; `--validate` requires it.
 /// 2 added provenance (`git_revision`, `timestamp`); 3 added the `width`
 /// packed-backend comparison section; 4 added the skipped-row shape for
-/// thread counts the host cannot measure meaningfully.
-const SCHEMA_VERSION: u64 = 4;
+/// thread counts the host cannot measure meaningfully; 5 replaced the
+/// thread-count `results` sweep with the one `serial` row.
+const SCHEMA_VERSION: u64 = 5;
 
 /// `--NAME VALUE` from the args, else the `env` variable, else `"unknown"`.
 /// Benchmarks never read the clock or the repo themselves — provenance is
@@ -75,10 +77,7 @@ fn main() {
     }
     let git_revision = provenance(&args, "--git-rev", "GATEST_GIT_REV");
     let timestamp = provenance(&args, "--timestamp", "GATEST_BENCH_TIMESTAMP");
-    // Full mode applies enough vectors per thread count for a stable
-    // baseline; smoke mode still runs long enough (~0.15 s serial) that the
-    // regression gate in scripts/check_bench.sh can compare rates.
-    let vectors = if smoke { 400 } else { 1500 };
+    let vectors = 1500;
 
     let circuit = Arc::new(benchmarks::iscas89(CIRCUIT).expect("bundled circuit"));
     let pis = circuit.num_inputs();
@@ -100,55 +99,72 @@ fn main() {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
 
-    let mut rows = String::new();
-    let mut checksum: Option<u64> = None;
-    for (i, &threads) in SIM_THREADS.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        // A thread count past the host's CPUs measures scheduler noise,
-        // not throughput; record a skipped marker instead of a noise row.
-        if threads > host_cpus {
-            rows.push_str(&format!(
-                "    {{\"sim_threads\": {threads}, \"skipped_reason\": \"sim_threads {threads} exceeds host_cpus {host_cpus}\"}}"
-            ));
-            eprintln!("sim_threads {threads}: skipped (exceeds host_cpus {host_cpus})");
-            continue;
-        }
-        let mut sim = base.clone();
-        sim.set_sim_threads(threads);
-        let (secs, sum, events) = run_stream(&mut sim, &stream);
-        match checksum {
-            None => checksum = Some(sum),
-            Some(c) => assert_eq!(
-                c, sum,
-                "sim_threads {threads} diverged from the serial detection order"
-            ),
-        }
-        rows.push_str(&format!(
-            "    {{\"sim_threads\": {threads}, \"vectors\": {vectors}, \"secs\": {secs:.4}, \"vectors_per_sec\": {:.0}, \"fault_events_per_sec\": {:.0}}}",
-            vectors as f64 / secs,
-            events as f64 / secs
-        ));
-        eprintln!(
-            "sim_threads {threads}: {vectors} vectors in {secs:.2}s = {:.0} vectors/sec ({:.0} fault events/sec)",
-            vectors as f64 / secs,
-            events as f64 / secs
-        );
-    }
+    let (passes, checksum, events) = timed_passes(&base, &[SimBackend::Scalar64], &stream);
+    let secs = median(passes[0].clone());
+    let serial = format!(
+        "{{\"vectors\": {vectors}, \"secs\": {secs:.4}, \"vectors_per_sec\": {:.0}, \"fault_events_per_sec\": {:.0}}}",
+        vectors as f64 / secs,
+        events as f64 / secs
+    );
+    eprintln!(
+        "serial: {vectors} vectors in {secs:.2}s = {:.0} vectors/sec ({:.0} fault events/sec)",
+        vectors as f64 / secs,
+        events as f64 / secs
+    );
 
     println!(
-        "{{\n  \"bench\": \"step_throughput\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_revision\": \"{git_revision}\",\n  \"timestamp\": \"{timestamp}\",\n  \"circuit\": \"{CIRCUIT}\",\n  \"mode\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"identity_checksum\": {},\n  \"results\": [\n{rows}\n  ],\n  \"width\": [\n{}\n  ]\n}}",
+        "{{\n  \"bench\": \"step_throughput\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_revision\": \"{git_revision}\",\n  \"timestamp\": \"{timestamp}\",\n  \"circuit\": \"{CIRCUIT}\",\n  \"mode\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"identity_checksum\": {checksum},\n  \"serial\": {serial},\n  \"width\": [\n{}\n  ]\n}}",
         if smoke { "smoke" } else { "full" },
-        checksum.unwrap_or(0),
-        width_rows(smoke)
+        width_rows()
     );
+}
+
+/// Timed passes per measured row. Rows report medians, so a pass slowed
+/// by another process on a shared host does not move the baseline or trip
+/// the regression gate.
+const PASSES: usize = 5;
+
+/// Replays `stream` [`PASSES`] times on each of `backends`, interleaved
+/// pass by pass so a slow spell on a shared host hits every backend alike,
+/// each pass through a fresh copy of `base`. Asserts every pass of every
+/// backend reproduces the same identity checksum. Returns, per backend,
+/// the seconds of each pass in pass order, plus the checksum and
+/// faulty-event count (see [`run_stream`]).
+fn timed_passes(
+    base: &FaultSim,
+    backends: &[SimBackend],
+    stream: &[Vec<Logic>],
+) -> (Vec<Vec<f64>>, u64, u64) {
+    let mut secs = vec![Vec::with_capacity(PASSES); backends.len()];
+    let mut result = None;
+    for _ in 0..PASSES {
+        for (b, &backend) in backends.iter().enumerate() {
+            let mut sim = base.clone();
+            sim.set_backend(backend);
+            let (pass_secs, sum, events) = run_stream(&mut sim, stream);
+            assert_eq!(
+                result.get_or_insert((sum, events)).0,
+                sum,
+                "{} diverged from the first pass's results",
+                backend.name()
+            );
+            secs[b].push(pass_secs);
+        }
+    }
+    let (sum, events) = result.expect("at least one pass");
+    (secs, sum, events)
+}
+
+/// The median of `values`.
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 /// Replays `stream` through `sim`, returning elapsed seconds, the identity
 /// checksum (step index × fault id over every newly detected fault plus
-/// per-step faulty-event and flip-flop-effect counts — all width- and
-/// thread-invariant), and the total faulty-event count.
+/// per-step faulty-event and flip-flop-effect counts — all
+/// width-invariant), and the total faulty-event count.
 fn run_stream(sim: &mut FaultSim, stream: &[Vec<Logic>]) -> (f64, u64, u64) {
     let mut events = 0u64;
     let mut sum = 0u64;
@@ -219,7 +235,7 @@ fn smoke_synthetic_10k() {
 /// circuit, asserting the identity checksum is bit-identical across widths.
 /// Wide rows carry `speedup_vs_scalar64` so the trajectory of the wide
 /// backend's advantage is tracked directly in the committed baseline.
-fn width_rows(smoke: bool) -> String {
+fn width_rows() -> String {
     let mut rows = String::new();
     for &name in &WIDTH_CIRCUITS {
         let circuit = Arc::new(benchmarks::iscas89(name).expect("bundled circuit"));
@@ -230,41 +246,28 @@ fn width_rows(smoke: bool) -> String {
             let v: Vec<Logic> = (0..pis).map(|_| Logic::from_bool(rng.coin())).collect();
             base.step(&v);
         }
-        let vectors = match (smoke, name) {
-            (true, _) => 200,
-            (false, "s1423") => 1500,
-            (false, _) => 4000,
-        };
+        let vectors = if name == "s1423" { 1500 } else { 4000 };
         let mut vec_rng = Rng::new(9);
         let stream: Vec<Vec<Logic>> = (0..vectors)
             .map(|_| (0..pis).map(|_| Logic::from_bool(vec_rng.coin())).collect())
             .collect();
-        let mut reference: Option<(u64, f64)> = None;
-        for backend in WIDTH_BACKENDS {
-            let mut sim = base.clone();
-            sim.set_backend(backend);
-            let (secs, sum, _) = run_stream(&mut sim, &stream);
+        // The speedup is the median of per-pass ratios: interleaved passes
+        // pair up a scalar and a wide run taken under the same host load.
+        let (passes, sum, _) = timed_passes(&base, &WIDTH_BACKENDS, &stream);
+        let speedup = median((0..PASSES).map(|p| passes[0][p] / passes[1][p]).collect());
+        for (b, backend) in WIDTH_BACKENDS.iter().enumerate() {
+            let secs = median(passes[b].clone());
             let rate = vectors as f64 / secs;
-            let speedup = match reference {
-                None => {
-                    reference = Some((sum, rate));
-                    String::new()
-                }
-                Some((c, scalar_rate)) => {
-                    assert_eq!(
-                        c,
-                        sum,
-                        "{name}: {} diverged from the scalar64 results",
-                        backend.name()
-                    );
-                    format!(", \"speedup_vs_scalar64\": {:.3}", rate / scalar_rate)
-                }
+            let speedup_field = if b == 0 {
+                String::new()
+            } else {
+                format!(", \"speedup_vs_scalar64\": {speedup:.3}")
             };
             if !rows.is_empty() {
                 rows.push_str(",\n");
             }
             rows.push_str(&format!(
-                "    {{\"circuit\": \"{name}\", \"backend\": \"{}\", \"lanes\": {}, \"vectors\": {vectors}, \"secs\": {secs:.4}, \"vectors_per_sec\": {rate:.0}, \"identity_checksum\": {sum}{speedup}}}",
+                "    {{\"circuit\": \"{name}\", \"backend\": \"{}\", \"lanes\": {}, \"vectors\": {vectors}, \"secs\": {secs:.4}, \"vectors_per_sec\": {rate:.0}, \"identity_checksum\": {sum}{speedup_field}}}",
                 backend.name(),
                 backend.lanes()
             ));
@@ -311,35 +314,12 @@ fn validate(path: &str) -> Result<String, String> {
     field("identity_checksum")?
         .as_u64()
         .ok_or("`identity_checksum` is not an integer")?;
-    let results = field("results")?
-        .as_array()
-        .ok_or("`results` is not an array")?;
-    if results.is_empty() {
-        return Err("`results` is empty".into());
-    }
-    let mut measured = 0usize;
-    for (i, row) in results.iter().enumerate() {
-        row.get("sim_threads")
+    let serial = field("serial")?;
+    for key in ["vectors", "secs", "vectors_per_sec", "fault_events_per_sec"] {
+        serial
+            .get(key)
             .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("results[{i}] missing numeric `sim_threads`"))?;
-        // A row is either a skipped marker (reason, no measurements) or a
-        // full measurement; both shapes are valid baselines so single-CPU
-        // hosts never commit noise rows for thread counts they lack.
-        if let Some(reason) = row.get("skipped_reason") {
-            reason
-                .as_str()
-                .ok_or_else(|| format!("results[{i}] `skipped_reason` is not a string"))?;
-            continue;
-        }
-        measured += 1;
-        for key in ["vectors", "secs", "vectors_per_sec", "fault_events_per_sec"] {
-            row.get(key)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("results[{i}] missing numeric `{key}`"))?;
-        }
-    }
-    if measured == 0 {
-        return Err("`results` has no measured rows, only skipped".into());
+            .ok_or_else(|| format!("`serial` missing numeric `{key}`"))?;
     }
     let width = field("width")?
         .as_array()
@@ -383,8 +363,7 @@ fn validate(path: &str) -> Result<String, String> {
         }
     }
     Ok(format!(
-        "{path} ok: {} thread counts, {} width rows, host_cpus {cpus}",
-        results.len(),
+        "{path} ok: serial row, {} width rows, host_cpus {cpus}",
         width.len()
     ))
 }

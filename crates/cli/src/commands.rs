@@ -71,22 +71,6 @@ fn worker_count(opts: &Opts) -> Result<usize, Box<dyn Error>> {
     })
 }
 
-/// Parses `--sim-threads`: a positive integer, or `0` / `auto` meaning all
-/// available cores. Defaults to 1 (serial fault-group simulation).
-fn sim_thread_count(opts: &Opts) -> Result<usize, Box<dyn Error>> {
-    let Some(value) = opts.get("sim-threads") else {
-        return Ok(1);
-    };
-    if value == "auto" {
-        return Ok(0);
-    }
-    value.parse().map_err(|_| {
-        UsageError::boxed(format!(
-            "--sim-threads expects a non-negative integer or `auto`, got `{value}`"
-        ))
-    })
-}
-
 /// Parses `--sim-width`: `scalar64`/`64`, `wide256`/`256`, or `auto`
 /// (pick the widest backend the host supports well). Defaults to
 /// scalar64. Results are bit-identical across widths; this knob only trades
@@ -207,7 +191,6 @@ pub fn atpg(opts: &Opts) -> Result<ExitCode, Box<dyn Error>> {
     let circuit = load_circuit(&spec)?;
     let mut config = GatestConfig::for_circuit(&circuit)
         .with_workers(worker_count(opts)?)
-        .with_sim_threads(sim_thread_count(opts)?)
         .with_sim_width(sim_width_backend(opts)?)
         .with_dedup(!opts.has("no-dedup"));
     if let Some(entries) = eval_cache_override(opts)? {
@@ -1169,6 +1152,14 @@ mod tests {
 {\"event\":\"run_finished\",\"detected\":26,\"total_faults\":26,\"vectors\":11,\"ga_evaluations\":1440,\"elapsed_secs\":0.0011,\"budget_exhausted\":false,\"phase_time_secs\":[0.00016,0.00073,0.00019,0],\"ga_generations\":90,\"counters\":{\"step_calls\":146,\"good_only_calls\":0,\"gate_evals\":4269,\"good_events\":938,\"faulty_events\":1355,\"checkpoint_restores\":145,\"restore_bytes_avoided\":128608,\"packed_phase1_frames\":10,\"pool_tasks\":0,\"pool_idle_ns\":0,\"group_tasks\":0,\"group_steal_ns\":0,\"scratch_bytes_reused\":92784,\"checkpoint_writes\":0,\"checkpoint_bytes\":0,\"cache_hits\":1222,\"cache_misses\":150,\"dedup_skips\":68,\"prefix_frames_avoided\":0,\"wide_groups\":0,\"lanes_per_group\":0,\"events_amortized\":498,\"commit_batch_frames\":0,\"csr_bytes\":0,\"shard_tasks\":292,\"shard_merge_ns\":17510,\"report_records_streamed\":0},\"spans\":[{\"kind\":\"run\",\"parent\":null,\"count\":1,\"incl_ns\":1101557,\"excl_ns\":277349},{\"kind\":\"generation\",\"parent\":\"run\",\"count\":90,\"incl_ns\":824208,\"excl_ns\":103263}]}
 ";
 
+    /// A trace written while fault groups could run on their own thread
+    /// pool (`--workers 2 --sim-threads 2`): its counters carry the pool's
+    /// two keys, and worker step spans sit at the root beside `run`.
+    const GROUP_POOL_TRACE: &str = "\
+{\"event\":\"run_started\",\"circuit\":\"s298\",\"total_faults\":700,\"seed\":1,\"backend\":\"scalar64\",\"lanes\":64}
+{\"event\":\"run_finished\",\"detected\":536,\"total_faults\":700,\"vectors\":89,\"ga_evaluations\":8712,\"elapsed_secs\":2.106984396,\"budget_exhausted\":false,\"phase_time_secs\":[0.001251695,0.009781215,0.015785913,2.079987771],\"ga_generations\":630,\"counters\":{\"step_calls\":76613,\"good_only_calls\":0,\"gate_evals\":44736744,\"good_events\":8439965,\"faulty_events\":303331711,\"checkpoint_restores\":5343,\"restore_bytes_avoided\":142997796,\"packed_phase1_frames\":26,\"pool_tasks\":1606,\"pool_idle_ns\":234333255,\"group_tasks\":152828,\"group_steal_ns\":1539470217,\"scratch_bytes_reused\":1424240580,\"checkpoint_writes\":0,\"checkpoint_bytes\":0,\"cache_hits\":3271,\"cache_misses\":5290,\"dedup_skips\":151,\"prefix_frames_avoided\":4594,\"wide_groups\":0,\"lanes_per_group\":0,\"events_amortized\":275060092,\"commit_batch_frames\":280,\"csr_bytes\":0,\"report_records_streamed\":0},\"spans\":[{\"kind\":\"run\",\"parent\":null,\"count\":1,\"incl_ns\":2107199264,\"excl_ns\":23613880},{\"kind\":\"sim_step\",\"parent\":null,\"count\":76350,\"incl_ns\":3896999034,\"excl_ns\":3754862611},{\"kind\":\"generation\",\"parent\":\"run\",\"count\":630,\"incl_ns\":2083585384,\"excl_ns\":1964564},{\"kind\":\"eval_batch\",\"parent\":\"generation\",\"count\":630,\"incl_ns\":2078391060,\"excl_ns\":2071005861},{\"kind\":\"breed\",\"parent\":\"generation\",\"count\":560,\"incl_ns\":3229760,\"excl_ns\":3229760},{\"kind\":\"cache_lookup\",\"parent\":\"eval_batch\",\"count\":630,\"incl_ns\":7385199,\"excl_ns\":7385199},{\"kind\":\"merge\",\"parent\":\"sim_step\",\"count\":76333,\"incl_ns\":142136423,\"excl_ns\":142136423}]}
+";
+
     #[test]
     fn traces_with_retired_counters_still_load() {
         let summary = summarize_trace(OLD_COUNTERS_TRACE).unwrap();
@@ -1187,6 +1178,19 @@ mod tests {
         let new = trace_stats(TRACED_FINISH).unwrap();
         let (report, _) = diff_traces(&old, &new, 10.0, false);
         assert!(report.contains("gate_evals"), "{report}");
+
+        let summary = summarize_trace(GROUP_POOL_TRACE).unwrap();
+        assert!(
+            summary.contains("finished: 536/700 detected, 89 vectors, 8712 GA evaluations"),
+            "{summary}"
+        );
+        assert!(!summary.contains("group"), "{summary}");
+        let table = trace_phases(GROUP_POOL_TRACE).unwrap();
+        assert!(table.contains("    eval_batch"), "{table}");
+        let pooled = trace_stats(GROUP_POOL_TRACE).unwrap();
+        assert_eq!((pooled.detected, pooled.gate_evals), (536, 44_736_744));
+        let (report, regressed) = diff_traces(&pooled, &pooled, 10.0, true);
+        assert!(!regressed, "{report}");
     }
 
     #[test]

@@ -123,6 +123,8 @@ fn usage_errors_exit_with_code_2() {
         &["frobnicate", "s27"][..],
         &["atpg", "s27", "-z"][..],
         &["atpg", "s27", "--fault-shards", "2", "--max-evals", "50"][..],
+        &["atpg", "s27", "--sim-threads", "2", "--max-evals", "50"][..],
+        &["atpg", "s27", "--sim-threads", "auto", "--max-evals", "50"][..],
         &["atpg", "s27", "--no-such-flag", "1", "--max-evals", "50"][..],
         &["atpg", "s27", "--sim-widht", "wide256", "--max-evals", "50"][..],
         &["stats", "s27", "--seed", "1"][..],

@@ -228,7 +228,7 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Digest of every configuration field that influences the search path
 /// (everything except the seed — stored separately — and the runtime-only
-/// knobs `parallel_workers`, `sim_threads`, `sim_width`, the two budget
+/// knobs `parallel_workers`, `sim_width`, the two budget
 /// limits, and the memoization knobs `eval_cache_entries` / `dedup` /
 /// `paranoid_cache`, which are all bit-identity-neutral). Resume
 /// compares this digest so a checkpoint is never silently continued under
@@ -569,8 +569,9 @@ impl RunSnapshot {
             c.packed_phase1_frames,
             c.pool_tasks,
             c.pool_idle_ns,
-            c.group_tasks,
-            c.group_steal_ns,
+            // Two retired counter slots (fault-group pool), always zero.
+            0,
+            0,
             c.scratch_bytes_reused,
             c.checkpoint_writes,
             c.checkpoint_bytes,
@@ -583,7 +584,7 @@ impl RunSnapshot {
             c.events_amortized,
             c.commit_batch_frames,
             c.csr_bytes,
-            // Two retired counter slots, always zero.
+            // Two retired counter slots (fault shards), always zero.
             0,
             0,
             c.report_records_streamed,
@@ -745,8 +746,6 @@ impl RunSnapshot {
             packed_phase1_frames: counter_fields[7],
             pool_tasks: counter_fields[8],
             pool_idle_ns: counter_fields[9],
-            group_tasks: counter_fields[10],
-            group_steal_ns: counter_fields[11],
             scratch_bytes_reused: counter_fields[12],
             checkpoint_writes: counter_fields[13],
             checkpoint_bytes: counter_fields[14],
@@ -921,12 +920,13 @@ mod tests {
     fn retired_counter_slots_are_written_as_zero_and_ignored() {
         let bytes = sample_snapshot().encode();
         let slot = |i: usize| bytes.len() - 8 - (27 - i) * 8;
-        for i in [24, 25] {
+        for i in [10, 11, 24, 25] {
             assert_eq!(bytes[slot(i)..slot(i) + 8], [0u8; 8], "slot {i}");
         }
         let mut old = bytes.clone();
-        old[slot(24)..slot(24) + 8].copy_from_slice(&6u64.to_le_bytes());
-        old[slot(25)..slot(25) + 8].copy_from_slice(&1234u64.to_le_bytes());
+        for (i, v) in [(10, 340u64), (11, 6_000_000), (24, 6), (25, 1234)] {
+            old[slot(i)..slot(i) + 8].copy_from_slice(&v.to_le_bytes());
+        }
         let n = old.len() - 8;
         let crc = fnv1a(FNV_OFFSET, &old[..n]);
         old[n..].copy_from_slice(&crc.to_le_bytes());
@@ -1013,7 +1013,6 @@ mod tests {
         let a = GatestConfig::default();
         let mut b = a.clone();
         b.parallel_workers = 8;
-        b.sim_threads = 4;
         b.max_evals = Some(100);
         b.max_wall_secs = Some(1.0);
         b.seed = 999;

@@ -36,7 +36,7 @@ use std::time::Instant;
 
 use gatest_ga::Chromosome;
 use gatest_sim::{Checkpoint, FaultId, FaultSim, Logic, StepReport};
-use gatest_telemetry::SimCounters;
+use gatest_telemetry::{SimCounters, SpanParent};
 
 use crate::fitness::{phase1, phase2, phase3, phase4, FitnessScale, Phase};
 
@@ -596,6 +596,9 @@ struct Request {
     /// Score the chunk with [`evaluate_sequences_shared`] instead of the
     /// flat per-candidate loop (sequence jobs with memoization on).
     shared_prefix: bool,
+    /// The dispatcher's batch span, adopted by the worker so its step
+    /// spans nest under the batch.
+    parent: Option<SpanParent>,
 }
 
 /// Scores for one chunk, tagged with its position in the batch.
@@ -699,6 +702,12 @@ impl EvalPool {
                         if let Some(c) = &counters {
                             c.record_pool_idle(wait.elapsed().as_nanos() as u64);
                         }
+                        // Dropped before the reply is sent: the batch span
+                        // stays open until every chunk has replied.
+                        let adopted = req
+                            .parent
+                            .as_ref()
+                            .and_then(|p| Some(sim.span_handle()?.adopt(p)));
                         let scores = if req.shared_prefix {
                             evaluate_sequences_shared(
                                 &mut sim,
@@ -715,6 +724,7 @@ impl EvalPool {
                                 })
                                 .collect()
                         };
+                        drop(adopted);
                         if reply_tx
                             .send(Reply {
                                 offset: req.offset,
@@ -758,7 +768,7 @@ impl EvalPool {
     ///
     /// Panics if a worker thread has died.
     pub fn evaluate(&self, ctx: &Arc<EvalContext>, batch: &[Chromosome]) -> Vec<f64> {
-        self.dispatch(ctx, batch, false)
+        self.dispatch(ctx, batch, false, None)
     }
 
     /// Like [`EvalPool::evaluate`], but each worker scores its chunk with
@@ -766,14 +776,18 @@ impl EvalPool {
     /// prefixes within a chunk are simulated once per shared frame. Scores
     /// are bit-identical to [`EvalPool::evaluate`]'s.
     pub fn evaluate_shared_prefix(&self, ctx: &Arc<EvalContext>, batch: &[Chromosome]) -> Vec<f64> {
-        self.dispatch(ctx, batch, true)
+        self.dispatch(ctx, batch, true, None)
     }
 
-    fn dispatch(
+    /// [`EvalPool::evaluate`] (or, with `shared_prefix`,
+    /// [`EvalPool::evaluate_shared_prefix`]) with the workers' spans
+    /// nested under `parent`, the caller's open batch span.
+    pub(crate) fn dispatch(
         &self,
         ctx: &Arc<EvalContext>,
         batch: &[Chromosome],
         shared_prefix: bool,
+        parent: Option<&SpanParent>,
     ) -> Vec<f64> {
         if batch.is_empty() {
             return Vec::new();
@@ -789,6 +803,7 @@ impl EvalPool {
                     chunk: piece.to_vec(),
                     offset: i * chunk,
                     shared_prefix,
+                    parent: parent.cloned(),
                 });
                 sent += 1;
             }

@@ -25,7 +25,7 @@ use gatest_sim::{
 };
 use gatest_telemetry::{
     Instruments, NullObserver, RunEvent, RunObserver, SimCounters, SpanHandle, SpanKind,
-    TelemetrySnapshot,
+    SpanParent, TelemetrySnapshot,
 };
 
 use crate::checkpoint::{config_digest, GaSnapshot, RunSnapshot, SnapshotIndividual, SnapshotPos};
@@ -209,8 +209,6 @@ pub struct TestGenerator {
     /// shared with the simulator and, via simulator clones, every
     /// evaluation-pool worker.
     instruments: Option<Arc<Instruments>>,
-    /// The generator thread's lazily-registered span slot.
-    probe: Option<SpanHandle>,
 }
 
 impl std::fmt::Debug for TestGenerator {
@@ -324,7 +322,6 @@ impl TestGenerator {
         let seq_depth = sequential_depth(&circuit);
         let counters = Arc::new(SimCounters::new());
         sim.set_counters(Some(Arc::clone(&counters)));
-        sim.set_sim_threads(config.resolved_sim_threads());
         sim.set_backend(config.sim_width);
         TestGenerator {
             circuit,
@@ -335,7 +332,6 @@ impl TestGenerator {
             observer: Arc::new(NullObserver),
             counters,
             instruments: None,
-            probe: None,
         }
     }
 
@@ -352,13 +348,12 @@ impl TestGenerator {
     /// collector and the run-metrics registry. The bundle propagates to
     /// the fault simulator (and through simulator clones to every
     /// evaluation-pool worker), so `run > generation > eval_batch >
-    /// sim_step` timings all land in one place. Instrumentation is
+    /// sim_step` timings all land in one tree. Instrumentation is
     /// observational only: instrumented and uninstrumented runs produce
     /// bit-identical results.
     pub fn with_instruments(mut self, instruments: Arc<Instruments>) -> Self {
         self.sim.set_instruments(Some(Arc::clone(&instruments)));
         self.instruments = Some(instruments);
-        self.probe = None;
         self
     }
 
@@ -367,14 +362,10 @@ impl TestGenerator {
         self.instruments.as_ref()
     }
 
-    /// The generator thread's span handle, registered on first use.
+    /// The generator thread's span handle: its simulator's, so the
+    /// simulator's step spans nest under the generator's batches.
     fn probe(&mut self) -> Option<SpanHandle> {
-        if self.probe.is_none() {
-            if let Some(instruments) = &self.instruments {
-                self.probe = Some(instruments.spans.handle());
-            }
-        }
-        self.probe.clone()
+        self.sim.span_handle()
     }
 
     /// The shared simulator hot-path counters for this generator.
@@ -1519,11 +1510,14 @@ struct RawEval<'a> {
 }
 
 impl RawEval<'_> {
+    /// Scores `batch`; pool workers nest their spans under `parent`, the
+    /// batch's span on this thread.
     fn eval(
         &mut self,
         ctx: &Arc<EvalContext>,
         batch: &[Chromosome],
         shared_prefix: bool,
+        parent: Option<&SpanParent>,
     ) -> Vec<f64> {
         let (is_init, pis, scale) = match &ctx.job {
             EvalJob::Vector {
@@ -1548,19 +1542,10 @@ impl RawEval<'_> {
                     packed_phase1_scores(p, self.sim.good(), self.counters, batch, pis, scale)
                 }
             }
-        } else if shared_prefix {
-            match self.pool {
-                Some(pool) => pool.evaluate_shared_prefix(ctx, batch),
-                None => evaluate_sequences_shared(
-                    self.sim,
-                    ctx,
-                    batch,
-                    self.scratch,
-                    Some(self.counters),
-                ),
-            }
         } else if let Some(pool) = self.pool {
-            pool.evaluate(ctx, batch)
+            pool.dispatch(ctx, batch, shared_prefix, parent)
+        } else if shared_prefix {
+            evaluate_sequences_shared(self.sim, ctx, batch, self.scratch, Some(self.counters))
         } else {
             batch
                 .iter()
@@ -1580,7 +1565,7 @@ struct EvalPath<'a> {
     /// The shared instrumentation bundle, for batch/cache histograms.
     instruments: Option<Arc<Instruments>>,
     /// The generator thread's span handle (batches run on this thread;
-    /// pool workers record their own sim-step spans via simulator clones).
+    /// pool workers adopt the batch span on their simulator clones').
     probe: Option<SpanHandle>,
 }
 
@@ -1603,8 +1588,10 @@ fn eval_batch(path: &mut EvalPath<'_>, ctx: &Arc<EvalContext>, batch: &[Chromoso
     } = path;
     let batch_start = instruments.is_some().then(Instant::now);
     let batch_span = probe.as_ref().map(|p| p.enter(SpanKind::EvalBatch));
+    let parent = probe.as_ref().and_then(SpanHandle::current);
+    let parent = parent.as_ref();
     let scores = match memo {
-        None => raw.eval(ctx, batch, shared_prefix),
+        None => raw.eval(ctx, batch, shared_prefix, parent),
         Some(memo) => {
             let counters = raw.counters;
             // Cache-lookup time is the memo layer's overhead: total memoized
@@ -1615,7 +1602,7 @@ fn eval_batch(path: &mut EvalPath<'_>, ctx: &Arc<EvalContext>, batch: &[Chromoso
             let mut raw_ns = 0u64;
             let scores = memo.evaluate(ctx, batch, Some(counters), |work| {
                 let raw_start = memo_start.is_some().then(Instant::now);
-                let result = raw.eval(ctx, work, shared_prefix);
+                let result = raw.eval(ctx, work, shared_prefix, parent);
                 if let Some(start) = raw_start {
                     raw_ns += start.elapsed().as_nanos() as u64;
                 }

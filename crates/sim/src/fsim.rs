@@ -37,7 +37,6 @@ use crate::group::{
     simulate_group, simulate_group_window, FaultyFfState, GoodFrame, GroupCtx, GroupOutcome,
     Scratch,
 };
-use crate::grouppool::GroupPool;
 use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv64, SimBackend};
 
 /// Statistics from simulating one vector over the active fault list.
@@ -196,26 +195,18 @@ pub struct FaultSim {
     comb_gates: u64,
     /// The requested packed-value backend (possibly `Auto`).
     backend: SimBackend,
-    /// The width-concrete execution engine (arena, outcome slots, pool).
+    /// The width-concrete execution engine (arena, outcome slots).
     engine: Engine,
-    /// Requested fault-group parallelism: 1 = serial (default), 0 = one
-    /// thread per available core, N = exactly N threads.
-    sim_threads: usize,
 }
 
-/// One backend's execution state: the simulator's own propagation arena,
-/// reusable per-group outcome slots, and the lazily-built worker pool.
-#[derive(Debug)]
+/// One backend's execution state: the simulator's own propagation arena
+/// and reusable per-group outcome slots.
+#[derive(Debug, Clone)]
 struct EngineState<P: PackedValue> {
-    /// The simulator's own propagation arena, reused across steps (and
-    /// used directly when the step runs serially).
+    /// The simulator's own propagation arena, reused across steps.
     scratch: Scratch<P>,
     /// Per-group outcome slots, reused across steps.
     outcomes: Vec<GroupOutcome<P>>,
-    /// The persistent fault-group worker pool, created lazily on the first
-    /// step that can actually use it (so serial simulators, clones, and
-    /// short runs never spawn threads).
-    pool: Option<GroupPool<P>>,
 }
 
 impl<P: PackedValue> EngineState<P> {
@@ -223,19 +214,6 @@ impl<P: PackedValue> EngineState<P> {
         EngineState {
             scratch: Scratch::new(circuit, max_level),
             outcomes: Vec::new(),
-            pool: None,
-        }
-    }
-}
-
-impl<P: PackedValue> Clone for EngineState<P> {
-    /// Clones the arena and outcome slots but **not** the worker pool — the
-    /// clone lazily builds its own if a parallel step ever runs on it.
-    fn clone(&self) -> Self {
-        EngineState {
-            scratch: self.scratch.clone(),
-            outcomes: self.outcomes.clone(),
-            pool: None,
         }
     }
 }
@@ -264,19 +242,11 @@ impl Engine {
             Engine::Wide256(_) => SimBackend::Wide256,
         }
     }
-
-    fn drop_pool(&mut self) {
-        match self {
-            Engine::Scalar64(e) => e.pool = None,
-            Engine::Wide256(e) => e.pool = None,
-        }
-    }
 }
 
 impl Clone for FaultSim {
-    /// Clones the simulator state but **not** the worker pool: the clone
-    /// keeps its `sim_threads` setting and lazily builds its own pool if a
-    /// parallel step ever runs on it.
+    /// Clones the simulator state but **not** the span slot: the clone
+    /// registers its own on its first instrumented step.
     fn clone(&self) -> Self {
         FaultSim {
             circuit: Arc::clone(&self.circuit),
@@ -294,7 +264,6 @@ impl Clone for FaultSim {
             comb_gates: self.comb_gates,
             backend: self.backend,
             engine: self.engine.clone(),
-            sim_threads: self.sim_threads,
         }
     }
 }
@@ -334,7 +303,6 @@ impl FaultSim {
             faults,
             backend,
             engine,
-            sim_threads: 1,
         }
     }
 
@@ -398,10 +366,10 @@ impl FaultSim {
     }
 
     /// Attaches (or detaches, with `None`) the shared instrumentation
-    /// bundle: step timings flow into its span tree and the group-merge
-    /// wait histogram. Like [`FaultSim::set_counters`], clones keep
-    /// reporting into the same shared bundle. Instrumentation is
-    /// observational only — results are bit-identical with or without it.
+    /// bundle: step timings flow into its span tree. Like
+    /// [`FaultSim::set_counters`], clones keep reporting into the same
+    /// shared bundle. Instrumentation is observational only — results are
+    /// bit-identical with or without it.
     pub fn set_instruments(&mut self, instruments: Option<Arc<Instruments>>) {
         self.instruments = instruments;
         self.probe = None;
@@ -413,8 +381,10 @@ impl FaultSim {
     }
 
     /// This simulator's span handle, registering a per-thread slot with the
-    /// collector on first use. `None` when uninstrumented.
-    fn probe(&mut self) -> Option<SpanHandle> {
+    /// collector on first use. `None` when uninstrumented. A pool worker
+    /// that owns this simulator adopts its batch's span on the handle, so
+    /// the step spans recorded here nest under that batch.
+    pub fn span_handle(&mut self) -> Option<SpanHandle> {
         if self.probe.is_none() {
             if let Some(instruments) = &self.instruments {
                 self.probe = Some(instruments.spans.handle());
@@ -423,27 +393,12 @@ impl FaultSim {
         self.probe.clone()
     }
 
-    /// Sets the fault-group parallelism for [`FaultSim::step`]: `1` runs
-    /// serially (the default), `0` uses one thread per available core, and
-    /// `N` uses exactly `N` threads (`N - 1` persistent workers plus the
-    /// calling thread).
-    ///
-    /// Results are bit-identical at every setting; the pool is created
-    /// lazily on the first step with more than one fault group, and torn
-    /// down when the setting changes.
-    pub fn set_sim_threads(&mut self, threads: usize) {
-        if threads != self.sim_threads {
-            self.sim_threads = threads;
-            self.engine.drop_pool();
-        }
-    }
-
     /// Sets the packed-value backend for [`FaultSim::step`] (see
-    /// [`SimBackend`]). Like thread counts, the backend is a pure execution
-    /// detail: results are bit-identical at every width, so it is safe to
-    /// change between runs (or mid-run). Switching to a different resolved
-    /// width rebuilds the engine (arena, outcome slots, worker pool);
-    /// re-setting the current width is free.
+    /// [`SimBackend`]). The backend is a pure execution detail: results
+    /// are bit-identical at every width, so it is safe to change between
+    /// runs (or mid-run). Switching to a different resolved width rebuilds
+    /// the engine (arena, outcome slots); re-setting the current width is
+    /// free.
     pub fn set_backend(&mut self, backend: SimBackend) {
         self.backend = backend;
         if backend.resolved() != self.engine.backend() {
@@ -458,26 +413,9 @@ impl FaultSim {
         self.backend
     }
 
-    /// The configured fault-group parallelism (see
-    /// [`FaultSim::set_sim_threads`]).
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
-    }
-
-    /// `sim_threads` with `0` resolved to the available core count.
-    fn resolved_sim_threads(&self) -> usize {
-        if self.sim_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.sim_threads
-        }
-    }
-
     /// The sparse faulty flip-flop state of fault `id`: `(dff index,
     /// faulty value)` wherever its machine differs from the good machine.
-    /// Exposed so tests can assert parallel/serial state identity.
+    /// Exposed so tests can assert state identity across backends.
     pub fn faulty_ff_state(&self, id: FaultId) -> &[(u32, Logic)] {
         &self.faulty_ff[id.index()]
     }
@@ -509,7 +447,7 @@ impl FaultSim {
     /// Used for the phase-1 (initialization) fitness, which needs only
     /// flip-flop statistics.
     pub fn step_good_only(&mut self, vector: &[Logic]) -> GoodStepReport {
-        let probe = self.probe();
+        let probe = self.span_handle();
         let _step_span = probe.as_ref().map(|p| p.enter(SpanKind::SimStep));
         self.vectors_applied += 1;
         let report = self.good.apply(vector);
@@ -543,7 +481,7 @@ impl FaultSim {
         if vectors.is_empty() {
             return Vec::new();
         }
-        let probe = self.probe();
+        let probe = self.span_handle();
         let _step_span = probe.as_ref().map(|p| p.enter(SpanKind::SimStep));
         let targets = Arc::clone(&self.active);
         let base_vector = self.vectors_applied;
@@ -643,7 +581,7 @@ impl FaultSim {
     }
 
     fn step_with(&mut self, vector: &[Logic], targets: &[FaultId], drop: bool) -> StepReport {
-        let probe = self.probe();
+        let probe = self.span_handle();
         let _step_span = probe.as_ref().map(|p| p.enter(SpanKind::SimStep));
         let good_report = self.good.apply(vector);
         self.vectors_applied += 1;
@@ -657,13 +595,11 @@ impl FaultSim {
 
         // Simulate every fault group (at most `P::LANES` faults each)
         // against the advanced good machine, writing per-group outcomes
-        // into reusable slots — serially with the simulator's own arena, or
-        // fanned out across the group pool — then merge them back. The
-        // engine match is the per-step backend dispatch; everything inside
-        // `run_engine` is monomorphized over the packed type.
-        let threads = self.resolved_sim_threads();
+        // into reusable slots, then merge them back. The engine match is
+        // the per-step backend dispatch; everything inside `run_engine` is
+        // monomorphized over the packed type.
         let mut detected: Vec<FaultId> = Vec::new();
-        let (ngroups, scratch_bytes, events_amortized, group_dispatch) = match &mut self.engine {
+        let (ngroups, scratch_bytes, events_amortized) = match &mut self.engine {
             Engine::Scalar64(engine) => run_engine(
                 &self.circuit,
                 &self.good,
@@ -672,7 +608,6 @@ impl FaultSim {
                 &mut self.ff_entries,
                 &self.empty_ff,
                 targets,
-                threads,
                 probe.as_ref(),
                 engine,
                 &mut report,
@@ -686,7 +621,6 @@ impl FaultSim {
                 &mut self.ff_entries,
                 &self.empty_ff,
                 targets,
-                threads,
                 probe.as_ref(),
                 engine,
                 &mut report,
@@ -697,16 +631,10 @@ impl FaultSim {
             counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
             counters.record_scratch_reuse(scratch_bytes);
             counters.record_events_amortized(events_amortized);
-            if let Some((tasks, steal_ns, _)) = group_dispatch {
-                counters.record_group_dispatch(tasks, steal_ns);
-            }
             let lanes = self.engine.backend().lanes();
             if lanes > 64 {
                 counters.record_backend_groups(lanes as u64, ngroups);
             }
-        }
-        if let (Some(instruments), Some((_, _, wait_ns))) = (&self.instruments, group_dispatch) {
-            instruments.metrics.merge_wait_ns.observe(wait_ns);
         }
 
         if drop && !detected.is_empty() {
@@ -941,70 +869,48 @@ fn check_state(
     Ok(())
 }
 
-/// Runs one step's group fan-out and merge on a width-concrete engine.
+/// Runs one step's group simulation and merge on a width-concrete engine.
 ///
-/// Returns `(ngroups, scratch_bytes, events_amortized, dispatch)` where
-/// `dispatch` is the pool's `(tasks, steal_ns, wait_ns)` when the step
-/// actually fanned out.
+/// Returns `(ngroups, scratch_bytes, events_amortized)`.
 ///
 /// The merge walks outcomes **in group order**, and lane order within a
 /// group is fault order, so `detected` and every report field except
-/// `gate_evals` come out identical at every lane width and thread count;
+/// `gate_evals` come out identical at every lane width;
 /// `po_detections` is additionally sorted into `(fault, po)` order because
 /// its emission order (output-major within each group) genuinely depends on
 /// how faults were grouped.
 #[allow(clippy::too_many_arguments)]
 fn run_engine<P: PackedValue>(
-    circuit: &Arc<Circuit>,
+    circuit: &Circuit,
     good: &GoodSim,
     faults: &FaultList,
     faulty_ff: &mut Arc<Vec<FaultyFfState>>,
     ff_entries: &mut usize,
     empty_ff: &FaultyFfState,
     targets: &[FaultId],
-    threads: usize,
     probe: Option<&SpanHandle>,
     engine: &mut EngineState<P>,
     report: &mut StepReport,
     detected: &mut Vec<FaultId>,
-) -> (u64, u64, u64, Option<(u64, u64, u64)>) {
+) -> (u64, u64, u64) {
     let ngroups = targets.len().div_ceil(P::LANES);
     if engine.outcomes.len() < ngroups {
         engine.outcomes.resize_with(ngroups, GroupOutcome::default);
     }
-    let mut dispatch: Option<(u64, u64, u64)> = None;
-    if threads > 1 && ngroups > 1 && engine.pool.is_none() {
-        let max_level = good.levelization().max_level() as usize;
-        engine.pool = Some(GroupPool::new(circuit, max_level, threads));
-    }
-    {
-        let ctx = GroupCtx {
-            circuit,
-            good,
-            faults,
-            faulty_ff: faulty_ff.as_slice(),
-            empty_ff,
-        };
-        match &engine.pool {
-            Some(pool) if threads > 1 && ngroups > 1 => {
-                dispatch = Some(pool.run(
-                    &ctx,
-                    targets,
-                    &mut engine.outcomes[..ngroups],
-                    &mut engine.scratch,
-                ));
-            }
-            _ => {
-                for (group, out) in targets.chunks(P::LANES).zip(engine.outcomes.iter_mut()) {
-                    simulate_group(&ctx, group, &mut engine.scratch, out);
-                }
-            }
-        }
+    let ctx = GroupCtx {
+        circuit,
+        good,
+        faults,
+        faulty_ff: faulty_ff.as_slice(),
+        empty_ff,
+    };
+    for (group, out) in targets.chunks(P::LANES).zip(engine.outcomes.iter_mut()) {
+        simulate_group(&ctx, group, &mut engine.scratch, out);
     }
 
     // Merge outcomes back **in group order**. The merge is the only place
-    // simulator state is written, so the result is identical no matter how
-    // (on how many threads, at what width) the groups were simulated.
+    // simulator state is written, so the result is identical at every
+    // width, however the groups were packed.
     let merge_span = probe.map(|p| p.enter(SpanKind::Merge));
     let mut scratch_bytes = 0u64;
     let mut events_amortized = 0u64;
@@ -1032,13 +938,12 @@ fn run_engine<P: PackedValue>(
     }
     report.po_detections.sort_unstable();
     drop(merge_span);
-    (ngroups as u64, scratch_bytes, events_amortized, dispatch)
+    (ngroups as u64, scratch_bytes, events_amortized)
 }
 
 /// Runs a whole commit window's group replay and per-frame merge on a
-/// width-concrete engine. Always serial: committed vectors are rare next to
-/// candidate evaluations, and the win here is the frame-to-frame faulty-FF
-/// carry inside the arena, not fan-out.
+/// width-concrete engine. The win over per-vector steps is the
+/// frame-to-frame faulty-FF carry inside the arena.
 ///
 /// Returns `(ngroups, scratch_bytes, events_amortized)`. The merge is the
 /// same walk as [`run_engine`]'s, once per frame: groups in group order,
@@ -1527,26 +1432,6 @@ mod tests {
         assert_eq!(sim.remaining(), sim.fault_list().len());
     }
 
-    #[test]
-    fn parallel_step_matches_serial_exactly() {
-        // Full fault list on s298 → multiple Pv64 groups, so the pool
-        // genuinely fans out; every report and the sparse faulty-FF state
-        // must be bit-identical to the serial path.
-        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
-        let faults = FaultList::full(&circuit);
-        let mut serial = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
-        let mut parallel = FaultSim::with_faults(Arc::clone(&circuit), faults);
-        parallel.set_sim_threads(3);
-        assert_eq!(parallel.sim_threads(), 3);
-        for v in prng_sequence(circuit.num_inputs(), 48, 41) {
-            assert_eq!(serial.step(&v), parallel.step(&v));
-        }
-        assert_eq!(serial.detected_count(), parallel.detected_count());
-        for &f in serial.active_faults() {
-            assert_eq!(serial.faulty_ff_state(f), parallel.faulty_ff_state(f));
-        }
-    }
-
     /// Normalizes the one legitimately width-dependent report field so
     /// cross-backend assertions compare everything else bit-for-bit.
     fn without_gate_evals(mut r: StepReport) -> StepReport {
@@ -1610,27 +1495,6 @@ mod tests {
         assert_eq!(sim.backend().resolved(), SimBackend::Wide256);
         // Clones inherit the backend setting.
         assert_eq!(sim.clone().backend(), SimBackend::Auto);
-    }
-
-    #[test]
-    fn wide_parallel_step_matches_serial_exactly() {
-        // Width × thread composition: the wide backend under the group pool
-        // must match the serial scalar path bit-for-bit.
-        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
-        let faults = FaultList::full(&circuit);
-        let mut serial = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
-        let mut parallel = FaultSim::with_faults(Arc::clone(&circuit), faults);
-        parallel.set_backend(SimBackend::Wide256);
-        parallel.set_sim_threads(3);
-        for v in prng_sequence(circuit.num_inputs(), 32, 51) {
-            let a = serial.step(&v);
-            let b = parallel.step(&v);
-            assert_eq!(without_gate_evals(a), without_gate_evals(b));
-        }
-        assert_eq!(serial.detected_count(), parallel.detected_count());
-        for &f in serial.active_faults() {
-            assert_eq!(serial.faulty_ff_state(f), parallel.faulty_ff_state(f));
-        }
     }
 
     #[test]

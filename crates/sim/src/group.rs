@@ -6,16 +6,15 @@
 //! shared circuit, good values, and per-fault sparse flip-flop state, and
 //! writes only its own lanes. This module factors the per-group propagation
 //! out of `FaultSim` into a free function over borrowed shared state
-//! ([`GroupCtx`]) plus a private arena ([`Scratch`]), so the serial step and
-//! the fault-group worker pool run the exact same code — serially with the
-//! simulator's own arena, or concurrently with one arena per worker.
+//! ([`GroupCtx`]) plus a private arena ([`Scratch`]), so the per-vector
+//! step and the batched commit window run the exact same code.
 //!
 //! Results land in a [`GroupOutcome`] instead of being applied in place;
 //! the caller merges outcomes back **in group order**, which makes every
-//! thread count — and every lane width — bit-identical to serial `Pv64`
-//! execution: lane order within a group is fault order, and group order is
-//! ascending fault order, so the concatenated per-lane results are the same
-//! sequence no matter how many lanes one group carries.
+//! lane width bit-identical to `Pv64` execution: lane order within a group
+//! is fault order, and group order is ascending fault order, so the
+//! concatenated per-lane results are the same sequence no matter how many
+//! lanes one group carries.
 //!
 //! The arena also removes the per-group/per-gate allocations the original
 //! inline implementation paid: `HashMap` forcing tables are replaced with
@@ -54,9 +53,9 @@ pub(crate) type FaultyFfState = Arc<[(u32, Logic)]>;
 /// The shared state one group simulation reads (and never writes).
 ///
 /// Borrowing these as one struct keeps [`simulate_group`]'s signature
-/// stable across the serial and pooled call sites, and proves by
-/// construction that workers cannot mutate simulator state: everything a
-/// group writes goes through its own [`Scratch`] and [`GroupOutcome`].
+/// short, and proves by construction that a group simulation cannot
+/// mutate simulator state: everything a group writes goes through its own
+/// [`Scratch`] and [`GroupOutcome`].
 pub(crate) struct GroupCtx<'a> {
     /// The circuit under simulation.
     pub circuit: &'a Circuit,
@@ -131,8 +130,8 @@ impl<P: PackedValue> GroupOutcome<P> {
 }
 
 /// The per-owner simulation arena: every buffer one group propagation
-/// needs, allocated once and reused for the life of the owner (a
-/// `FaultSim`, or one fault-group pool worker).
+/// needs, allocated once and reused for the life of the owning
+/// `FaultSim`.
 ///
 /// Stamp discipline: `stamp` is bumped per group, and any stamped array
 /// entry is valid only while its stamp matches — so "clearing" the faulty

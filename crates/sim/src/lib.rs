@@ -65,7 +65,6 @@ pub mod fault_report;
 pub mod fsim;
 pub mod good_sim;
 pub(crate) mod group;
-pub(crate) mod grouppool;
 pub mod packed_good;
 pub mod ppsfp;
 pub mod state_space;
@@ -96,6 +95,9 @@ impl FaultSim {
     ) -> Self {
         Self::with_faults(circuit, faults)
     }
+
+    #[doc(hidden)]
+    pub fn set_sim_threads(&mut self, _: usize) {}
 }
 
 /// The s27 circuit for intra-crate tests.

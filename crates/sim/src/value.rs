@@ -874,7 +874,7 @@ mod avx2 {
 
 /// Which packed-value width the fault simulator runs on.
 ///
-/// A pure execution detail, like thread counts: every backend produces
+/// A pure execution detail, like the worker count: every backend produces
 /// bit-identical results, so the width is excluded from the checkpoint
 /// configuration digest and is free to differ between a run and its resumed
 /// leg. `Auto` resolves to [`Pv256`], whose gate evaluation additionally

@@ -560,8 +560,6 @@ mod tests {
                         packed_phase1_frames: 22,
                         pool_tasks: 96,
                         pool_idle_ns: 1_250_000,
-                        group_tasks: 1_024,
-                        group_steal_ns: 730_000,
                         scratch_bytes_reused: 8_388_608,
                         checkpoint_writes: 3,
                         checkpoint_bytes: 45_000,
@@ -667,14 +665,6 @@ mod tests {
         assert_eq!(
             counters.get("pool_idle_ns").and_then(Json::as_u64),
             Some(1_250_000)
-        );
-        assert_eq!(
-            counters.get("group_tasks").and_then(Json::as_u64),
-            Some(1_024)
-        );
-        assert_eq!(
-            counters.get("group_steal_ns").and_then(Json::as_u64),
-            Some(730_000)
         );
         assert_eq!(
             counters.get("scratch_bytes_reused").and_then(Json::as_u64),

@@ -59,7 +59,7 @@ pub use metrics::{
 pub use progress::ProgressReporter;
 pub use snapshot::TelemetrySnapshot;
 pub use span::{
-    SpanCollector, SpanGuard, SpanHandle, SpanKind, SpanNode, SpanRecord, SpanSnapshot,
+    SpanCollector, SpanGuard, SpanHandle, SpanKind, SpanNode, SpanParent, SpanRecord, SpanSnapshot,
 };
 
 /// The per-run instrumentation bundle: a hierarchical [`SpanCollector`]

@@ -19,6 +19,13 @@
 //! thread are kept in a wrapping ring for debugging and the `/healthz`
 //! snapshot.
 //!
+//! Work one thread runs on behalf of a span open on another (an evaluation
+//! pool worker scoring part of the generator's batch) adopts that span with
+//! [`SpanHandle::adopt`]: the worker's spans nest under it, and their time
+//! counts as the span's child time, so its exclusive time is not charged
+//! with the wait for its workers. Under an adopted span, children on
+//! several threads can add up to more than the span's own wall time.
+//!
 //! Instrumentation never feeds back into the run: spans observe timing only,
 //! so observed and unobserved runs are bit-identical (the property
 //! `tests/telemetry.rs` locks down).
@@ -108,9 +115,11 @@ struct Cell3 {
     ns: AtomicU64,
 }
 
-/// Per-thread span state. Only the owning thread writes; the collector
-/// reads concurrently with relaxed loads (aggregates are monotone, and the
-/// ring is debugging data where a torn read across fields is acceptable).
+/// Per-thread span state. Only the owning thread writes, except that a
+/// thread adopting one of its open spans adds its child time to that
+/// span's frame; the collector reads concurrently with relaxed loads
+/// (aggregates are monotone, and the ring is debugging data where a torn
+/// read across fields is acceptable).
 struct ThreadSpans {
     epoch: Instant,
     depth: AtomicUsize,
@@ -165,6 +174,17 @@ impl ThreadSpans {
     }
 }
 
+/// A span open on one thread, handed to work another thread runs on its
+/// behalf. Obtained from [`SpanHandle::current`] and adopted with
+/// [`SpanHandle::adopt`]; the span must stay open until every adopting
+/// guard has dropped.
+#[derive(Debug, Clone)]
+pub struct SpanParent {
+    slot: Arc<ThreadSpans>,
+    depth: usize,
+    kind: usize,
+}
+
 /// A per-thread span recorder obtained from [`SpanCollector::handle`].
 ///
 /// Cloning is cheap (an `Arc` bump) but clones share one span stack, so a
@@ -197,6 +217,7 @@ impl SpanHandle {
             return SpanGuard {
                 slot: Arc::clone(&self.slot),
                 active: false,
+                lender: None,
             };
         }
         let parent = t.current_parent(depth);
@@ -210,6 +231,44 @@ impl SpanHandle {
         SpanGuard {
             slot: Arc::clone(&self.slot),
             active: true,
+            lender: None,
+        }
+    }
+
+    /// The innermost span open on this handle, for work on other threads
+    /// to [`adopt`](SpanHandle::adopt). `None` when no span is open.
+    pub fn current(&self) -> Option<SpanParent> {
+        let depth = self.slot.depth.load(Relaxed).checked_sub(1)?;
+        Some(SpanParent {
+            slot: Arc::clone(&self.slot),
+            depth,
+            kind: (self.slot.frames[depth].meta.load(Relaxed) & 0xff) as usize,
+        })
+    }
+
+    /// Opens `parent`, a span of another thread, on this handle until the
+    /// returned guard drops. Spans entered meanwhile nest under it, and
+    /// their time is handed back to it as child time. The adopted span
+    /// itself records nothing here: its owner records it.
+    pub fn adopt(&self, parent: &SpanParent) -> SpanGuard {
+        let t = &*self.slot;
+        let depth = t.depth.load(Relaxed);
+        if depth >= MAX_DEPTH {
+            t.dropped.fetch_add(1, Relaxed);
+            return SpanGuard {
+                slot: Arc::clone(&self.slot),
+                active: false,
+                lender: None,
+            };
+        }
+        let frame = &t.frames[depth];
+        frame.meta.store(parent.kind as u64, Relaxed);
+        frame.ns.store(0, Relaxed);
+        t.depth.store(depth + 1, Relaxed);
+        SpanGuard {
+            slot: Arc::clone(&self.slot),
+            active: true,
+            lender: Some(parent.clone()),
         }
     }
 
@@ -236,11 +295,14 @@ impl SpanHandle {
     }
 }
 
-/// Closes its span on drop. Returned by [`SpanHandle::enter`].
+/// Closes its span on drop. Returned by [`SpanHandle::enter`] and
+/// [`SpanHandle::adopt`].
 #[derive(Debug)]
 pub struct SpanGuard {
     slot: Arc<ThreadSpans>,
     active: bool,
+    /// The other thread's span this guard adopted, if any.
+    lender: Option<SpanParent>,
 }
 
 impl Drop for SpanGuard {
@@ -252,6 +314,13 @@ impl Drop for SpanGuard {
         let depth = t.depth.load(Relaxed) - 1;
         t.depth.store(depth, Relaxed);
         let frame = &t.frames[depth];
+        if let Some(lender) = &self.lender {
+            let child_ns = frame.ns.load(Relaxed);
+            lender.slot.frames[lender.depth]
+                .ns
+                .fetch_add(child_ns, Relaxed);
+            return;
+        }
         let meta = frame.meta.load(Relaxed);
         let kind = (meta & 0xff) as usize;
         let parent = ((meta >> 8) & 0xff) as usize;
@@ -528,6 +597,41 @@ mod tests {
         let snap = collector.snapshot();
         assert_eq!(snap.get("sim_step", None).unwrap().count, 40);
         assert_eq!(snap.total_incl_ns("sim_step"), snap.nodes[0].incl_ns);
+    }
+
+    #[test]
+    fn adopted_spans_nest_across_threads() {
+        let collector = Arc::new(SpanCollector::new());
+        let owner = collector.handle();
+        assert!(owner.current().is_none(), "nothing open yet");
+        {
+            let _run = owner.enter(SpanKind::Run);
+            let _batch = owner.enter(SpanKind::EvalBatch);
+            let parent = owner.current().expect("batch is open");
+            let worker = collector.handle();
+            std::thread::spawn(move || {
+                let _adopted = worker.adopt(&parent);
+                let _step = worker.enter(SpanKind::SimStep);
+                std::thread::sleep(Duration::from_millis(5));
+            })
+            .join()
+            .unwrap();
+        }
+        let snap = collector.snapshot();
+        let roots: Vec<&str> = snap
+            .nodes
+            .iter()
+            .filter(|n| n.parent.is_none())
+            .map(|n| n.kind.as_str())
+            .collect();
+        assert_eq!(roots, ["run"], "the worker's span is not a root");
+        let step = snap.get("sim_step", Some("eval_batch")).expect("nested");
+        assert_eq!(step.count, 1);
+        let batch = snap.get("eval_batch", Some("run")).unwrap();
+        assert_eq!(batch.count, 1, "adopting records no second batch");
+        // The worker's time is the batch's child time, not its own.
+        assert!(step.incl_ns >= 5_000_000);
+        assert!(batch.excl_ns <= batch.incl_ns - step.incl_ns);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Measure candidate-evaluation throughput (the evaluation engine's headline
-# number), fault-simulation step throughput (the fault-group pool's
+# number), serial fault-simulation step throughput (the simulator's
 # headline number), and the synthetic scaling sweep, recording them in
 # BENCH_eval.json, BENCH_sim.json, and BENCH_scale.json so the performance
 # trajectory is tracked across PRs. Pass --smoke for a fast

@@ -641,6 +641,50 @@ fn multi_state_checkpoints_resume_bit_identically() {
     let _ = std::fs::remove_file(&ck);
 }
 
+/// Checkpoints from builds with an in-simulator fault-group thread pool
+/// carry its two counters (dispatched groups, worker wake latency) in
+/// slots 10 and 11 of the counter block. This build writes 0 there and
+/// ignores the stored values: a real s298 checkpoint with both slots set
+/// decodes to the same snapshot and resumes byte-identically.
+#[test]
+fn retired_group_pool_counter_slots_resume_bit_identically() {
+    let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
+    let make = || {
+        let mut config = GatestConfig::for_circuit(&circuit).with_seed(21);
+        config.fault_sample = FaultSample::Count(60);
+        TestGenerator::new(Arc::clone(&circuit), config)
+    };
+    let expected = fingerprint(&make().run());
+    let ck = temp_path("s298-group-slots");
+    let leg = make().run_controlled(&RunControls {
+        checkpoint_path: Some(ck.clone()),
+        max_ticks: Some(53),
+        ..RunControls::default()
+    });
+    assert_eq!(leg.stop, StopCause::Interrupted);
+    let bytes = std::fs::read(&ck).unwrap();
+    let _ = std::fs::remove_file(&ck);
+    let snap = RunSnapshot::decode(&bytes).unwrap();
+    // The 27 counters sit just before the checksum.
+    let slot = |i: usize| bytes.len() - 8 - (27 - i) * 8;
+    let mut old = bytes.clone();
+    for (i, value) in [(10, 4_096u64), (11, 730_000)] {
+        assert_eq!(
+            old[slot(i)..slot(i) + 8],
+            [0u8; 8],
+            "slot {i} is written as 0"
+        );
+        old[slot(i)..slot(i) + 8].copy_from_slice(&value.to_le_bytes());
+    }
+    let old = reseal(old);
+    assert_ne!(old, bytes);
+    let decoded = RunSnapshot::decode(&old).unwrap();
+    assert_eq!(decoded, snap, "the stored group counters are ignored");
+    assert_eq!(decoded.encode(), bytes, "and re-encoded as 0");
+    let resumed = make().resume(&decoded, &RunControls::default()).unwrap();
+    assert_eq!(fingerprint(&resumed), expected);
+}
+
 #[test]
 fn future_format_versions_are_rejected_with_a_clear_error() {
     let snap = arbitrary_snapshot(42);

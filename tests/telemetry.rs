@@ -287,3 +287,37 @@ fn all_instrumentation_combinations_are_bit_identical() {
         }
     }
 }
+
+/// The span tree has one root, `run`, even when candidates are scored on
+/// evaluation-pool workers: each worker adopts the batch span it works
+/// for, so its simulator's `sim_step` spans nest under `eval_batch`
+/// instead of surfacing as a second root beside `run`.
+#[test]
+fn pooled_runs_have_run_as_their_only_span_root() {
+    let circuit = Arc::new(benchmarks::iscas89("s298").expect("bundled circuit"));
+    let mut config = GatestConfig::for_circuit(&circuit)
+        .with_seed(11)
+        .with_workers(2);
+    config.fault_sample = gatest_core::FaultSample::Count(60);
+    let result = TestGenerator::new(circuit, config)
+        .with_instruments(Instruments::new())
+        .run();
+    let spans = &result.telemetry.spans;
+    let roots: Vec<&str> = spans
+        .nodes
+        .iter()
+        .filter(|n| n.parent.is_none())
+        .map(|n| n.kind.as_str())
+        .collect();
+    assert_eq!(roots, ["run"], "span tree: {spans:?}");
+    assert!(result.telemetry.counters.pool_tasks > 0, "the pool ran");
+    let pooled = spans
+        .get("sim_step", Some("eval_batch"))
+        .expect("worker steps nest under their batch");
+    assert!(pooled.count > 0);
+    let batch = spans.get("eval_batch", Some("generation")).unwrap();
+    assert!(
+        batch.excl_ns < batch.incl_ns / 2,
+        "workers' steps are the batch's child time, not its own: {batch:?}"
+    );
+}
