@@ -1,30 +1,30 @@
-//! Width-independent scaling benchmark over synthetic circuits.
+//! Scaling benchmark over synthetic circuits.
 //!
 //! The ISCAS89-sized microbenchmarks (`bench_sim`) answer "did the hot loop
 //! get slower"; this one answers "how does the simulator scale" — the cost
 //! the CSR adjacency and shared per-group scheduling attack grows with
-//! circuit size, not lane width. It drives the deterministic
-//! [`SyntheticGenerator`] at 1.5k, 10k, 50k, 100k, 250k, and 500k
-//! combinational gates and measures sequential fault-simulation throughput
-//! per packed backend at each size, asserting a per-size identity checksum — detection order plus per-step
-//! faulty-event and flip-flop-effect counts — is bit-identical across every
-//! row. Each size also records `peak_rss_kb`, the process resident-set
-//! high-water mark (`VmHWM`) observed once that size's rows finish; sizes
-//! run ascending, so the largest size's value bounds the whole sweep's
-//! memory.
+//! circuit size. It drives the deterministic [`SyntheticGenerator`] at
+//! 1.5k, 10k, 50k, 100k, 250k, and 500k combinational gates and measures
+//! serial sequential fault-simulation throughput at each size, asserting a
+//! per-size identity checksum — detection order plus per-step faulty-event
+//! and flip-flop-effect counts — is bit-identical across every timed pass.
+//! Each size also records `peak_rss_kb`, the process resident-set
+//! high-water mark (`VmHWM`) observed once that size's passes finish;
+//! sizes run ascending, so the largest size's value bounds the whole
+//! sweep's memory.
 //!
 //! Prints a JSON document to stdout; `scripts/bench_eval.sh` redirects it to
 //! `BENCH_scale.json` so the scaling trajectory is tracked across PRs.
 //! `--smoke` runs only the two smallest sizes (same per-size stream, so the
 //! rates stay comparable with the committed baseline). `--validate FILE`
-//! checks the document shape and the per-size checksum agreement.
+//! checks the document shape.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use gatest_ga::Rng;
 use gatest_netlist::generate::{CircuitProfile, SyntheticGenerator};
-use gatest_sim::{FaultList, FaultSim, Logic, SimBackend};
+use gatest_sim::{FaultList, FaultSim, Logic};
 use gatest_telemetry::json::parse_json;
 
 /// One scaling point: target combinational gate count plus the shape knobs
@@ -83,12 +83,9 @@ const SIZES: [SizePoint; 6] = [
     },
 ];
 
-/// Rows measured at every size: the two packed widths.
-const ROWS: [SimBackend; 2] = [SimBackend::Scalar64, SimBackend::Wide256];
-
-/// Timed passes per row; rows report the median pass, so one pass slowed
-/// by another process on a shared host does not move the curve or trip
-/// the regression gate.
+/// Timed passes per size; each size reports the median pass, so one pass
+/// slowed by another process on a shared host does not move the curve or
+/// trip the regression gate.
 const PASSES: usize = 3;
 
 const GENERATOR_SEED: u64 = 94;
@@ -96,8 +93,9 @@ const GENERATOR_SEED: u64 = 94;
 /// 2 added `peak_rss_kb` per size, the 250k/500k points, and the
 /// skipped-row shape for thread counts the host lacks; 3 dropped the rows
 /// that split the fault list, and their per-row key; 4 dropped the
-/// two-thread row, the skipped-row shape and the per-row thread key.
-const SCHEMA_VERSION: u64 = 4;
+/// two-thread row, the skipped-row shape and the per-row thread key; 5
+/// replaced the per-backend `rows` with the one `serial` measurement.
+const SCHEMA_VERSION: u64 = 5;
 
 /// `--NAME VALUE` from the args, else the `env` variable, else `"unknown"`.
 fn provenance(args: &[String], name: &str, env: &str) -> String {
@@ -163,8 +161,9 @@ fn main() {
     );
 }
 
-/// Measures every backend row at one size, asserting the identity
-/// checksum agrees across all of them, and returns the size's JSON block.
+/// Measures serial throughput at one size, asserting every timed pass
+/// reproduces the same identity checksum, and returns the size's JSON
+/// block.
 fn measure_size(point: &SizePoint) -> String {
     let name = format!("scale_{}", point.gates);
     let profile = CircuitProfile {
@@ -181,8 +180,8 @@ fn measure_size(point: &SizePoint) -> String {
     let pis = circuit.num_inputs();
 
     // Warm into a representative mid-run state: random vectors drop the
-    // easy majority of the universe, leaving the hard residue every row
-    // then replays identically. The warmup runs once and each measured row
+    // easy majority of the universe, leaving the hard residue every pass
+    // then replays identically. The warmup runs once and each timed pass
     // re-imports the exported state, so setup cost never pollutes the
     // timed stream.
     let mut base = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
@@ -199,66 +198,41 @@ fn measure_size(point: &SizePoint) -> String {
         .map(|_| (0..pis).map(|_| Logic::from_bool(vec_rng.coin())).collect())
         .collect();
 
-    let mut rows = String::new();
-    let mut reference: Option<u64> = None;
-    for backend in ROWS {
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        let mut passes = Vec::with_capacity(PASSES);
-        let mut result = None;
-        for _ in 0..PASSES {
-            let mut sim = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
-            sim.import_state(&warm)
-                .expect("the warm state comes from this circuit's own simulator");
-            sim.set_backend(backend);
-            let (secs, sum, events) = run_stream(&mut sim, &stream);
-            assert_eq!(*result.get_or_insert((sum, events)), (sum, events));
-            passes.push(secs);
-        }
-        passes.sort_by(f64::total_cmp);
-        let secs = passes[PASSES / 2];
-        let (sum, events) = result.expect("at least one pass");
-        match reference {
-            None => reference = Some(sum),
-            Some(c) => assert_eq!(
-                c,
-                sum,
-                "{name}: {} diverged from the reference results",
-                backend.name()
-            ),
-        }
-        rows.push_str(&format!(
-            "        {{\"backend\": \"{}\", \"lanes\": {}, \"vectors\": {}, \"secs\": {secs:.4}, \"vectors_per_sec\": {:.0}, \"fault_events_per_sec\": {:.0}, \"identity_checksum\": {sum}}}",
-            backend.name(),
-            backend.lanes(),
-            point.vectors,
-            point.vectors as f64 / secs,
-            events as f64 / secs,
-        ));
-        eprintln!(
-            "{name} {}: {} vectors in {secs:.2}s = {:.0} vectors/sec ({:.0} fault events/sec)",
-            backend.name(),
-            point.vectors,
-            point.vectors as f64 / secs,
-            events as f64 / secs,
-        );
+    let mut passes = Vec::with_capacity(PASSES);
+    let mut result = None;
+    for _ in 0..PASSES {
+        let mut sim = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
+        sim.import_state(&warm)
+            .expect("the warm state comes from this circuit's own simulator");
+        let (secs, sum, events) = run_stream(&mut sim, &stream);
+        assert_eq!(*result.get_or_insert((sum, events)), (sum, events));
+        passes.push(secs);
     }
+    passes.sort_by(f64::total_cmp);
+    let secs = passes[PASSES / 2];
+    let (sum, events) = result.expect("at least one pass");
+    eprintln!(
+        "{name}: {} vectors in {secs:.2}s = {:.0} vectors/sec ({:.0} fault events/sec)",
+        point.vectors,
+        point.vectors as f64 / secs,
+        events as f64 / secs,
+    );
 
     format!(
-        "    {{\n      \"circuit\": \"{name}\",\n      \"gates_target\": {},\n      \"gates\": {},\n      \"dffs\": {},\n      \"faults\": {nfaults},\n      \"csr_bytes\": {csr_bytes},\n      \"peak_rss_kb\": {},\n      \"identity_checksum\": {},\n      \"rows\": [\n{rows}\n      ]\n    }}",
+        "    {{\n      \"circuit\": \"{name}\",\n      \"gates_target\": {},\n      \"gates\": {},\n      \"dffs\": {},\n      \"faults\": {nfaults},\n      \"csr_bytes\": {csr_bytes},\n      \"peak_rss_kb\": {},\n      \"identity_checksum\": {sum},\n      \"serial\": {{\"vectors\": {}, \"secs\": {secs:.4}, \"vectors_per_sec\": {:.0}, \"fault_events_per_sec\": {:.0}}}\n    }}",
         point.gates,
         circuit.num_gates(),
         circuit.num_dffs(),
         peak_rss_kb(),
-        reference.unwrap_or(0),
+        point.vectors,
+        point.vectors as f64 / secs,
+        events as f64 / secs,
     )
 }
 
 /// Replays `stream` through `sim`, returning elapsed seconds, the identity
 /// checksum (detection order plus per-step faulty-event and flip-flop-effect
-/// counts — all width- and batching-invariant), and the
-/// total faulty-event count.
+/// counts), and the total faulty-event count.
 fn run_stream(sim: &mut FaultSim, stream: &[Vec<Logic>]) -> (f64, u64, u64) {
     let mut events = 0u64;
     let mut sum = 0u64;
@@ -330,52 +304,21 @@ fn validate(path: &str) -> Result<String, String> {
                 .and_then(|v| v.as_u64())
                 .ok_or_else(|| format!("sizes[{i}] missing integer `{key}`"))?;
         }
-        let checksum = size
-            .get("identity_checksum")
+        size.get("identity_checksum")
             .and_then(|v| v.as_f64())
             .ok_or_else(|| format!("sizes[{i}] missing numeric `identity_checksum`"))?;
-        let rows = size
-            .get("rows")
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| format!("sizes[{i}] missing array `rows`"))?;
-        if rows.len() != ROWS.len() {
-            return Err(format!(
-                "sizes[{i}] has {} rows, expected {}",
-                rows.len(),
-                ROWS.len()
-            ));
-        }
-        for (j, row) in rows.iter().enumerate() {
-            row.get("backend")
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| format!("sizes[{i}].rows[{j}] missing string `backend`"))?;
-            for key in [
-                "lanes",
-                "vectors",
-                "secs",
-                "vectors_per_sec",
-                "fault_events_per_sec",
-            ] {
-                row.get(key)
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| format!("sizes[{i}].rows[{j}] missing numeric `{key}`"))?;
-            }
-            // The baseline itself is proof the widths agreed when it was
-            // recorded.
-            let row_sum = row
-                .get("identity_checksum")
+        let serial = size
+            .get("serial")
+            .ok_or_else(|| format!("sizes[{i}] missing `serial`"))?;
+        for key in ["vectors", "secs", "vectors_per_sec", "fault_events_per_sec"] {
+            serial
+                .get(key)
                 .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("sizes[{i}].rows[{j}] missing `identity_checksum`"))?;
-            if row_sum != checksum {
-                return Err(format!(
-                    "sizes[{i}].rows[{j}] checksum disagrees with the size's"
-                ));
-            }
+                .ok_or_else(|| format!("sizes[{i}].serial missing numeric `{key}`"))?;
         }
     }
     Ok(format!(
-        "{path} ok: {} sizes, {} rows each, host_cpus {cpus}",
-        sizes.len(),
-        ROWS.len()
+        "{path} ok: {} sizes, host_cpus {cpus}",
+        sizes.len()
     ))
 }

@@ -6,21 +6,16 @@
 //! newly detected fault, plus every step's faulty-event and
 //! flip-flop-effect counts. Fault groups are always simulated serially;
 //! parallelism lives one level up, in the evaluation pool (`bench_eval`).
-//!
-//! A `width` section compares the packed-value backends (Pv64 and Pv256)
-//! on s298 and s1423, asserting the same identity checksum across
-//! widths — the backend must change
-//! throughput only, never results. Smoke mode additionally replays a short
-//! stream through one synthetic 10k-gate circuit at every width, so CI
-//! exercises the CSR adjacency and group scheduling at a size where the
-//! ISCAS89 suite cannot.
+//! Smoke mode additionally replays a short stream through one synthetic
+//! 10k-gate circuit, so CI exercises the CSR adjacency and group
+//! scheduling at a size where the ISCAS89 suite cannot.
 //!
 //! Prints a JSON document to stdout; `scripts/bench_eval.sh` redirects it to
 //! `BENCH_sim.json` so the performance trajectory is tracked across PRs.
-//! Pass `--smoke` for the CI run: the same streams as full mode (step rates
-//! and wide/scalar ratios both drift as detected faults drop out, so the
-//! regression gate in scripts/check_bench.sh compares like with like) plus
-//! the synthetic 10k-gate shakeout.
+//! Pass `--smoke` for the CI run: the same stream as full mode (the step
+//! rate drifts as detected faults drop out, so the regression gate in
+//! scripts/check_bench.sh compares like with like) plus the synthetic
+//! 10k-gate shakeout.
 //! `--validate FILE` parses FILE as a `BENCH_sim` document and checks its
 //! shape, so CI can assert the smoke output is well-formed.
 
@@ -30,20 +25,17 @@ use std::time::Instant;
 use gatest_ga::Rng;
 use gatest_netlist::benchmarks;
 use gatest_netlist::generate::{CircuitProfile, SyntheticGenerator};
-use gatest_sim::{FaultSim, Logic, SimBackend};
+use gatest_sim::{FaultSim, Logic};
 use gatest_telemetry::json::parse_json;
 
 const CIRCUIT: &str = "s1423";
-/// Circuits the packed-backend width comparison runs on: one mid-size and
-/// one tier-1-largest, so lane utilization at both group counts is covered.
-const WIDTH_CIRCUITS: [&str; 2] = ["s298", "s1423"];
-const WIDTH_BACKENDS: [SimBackend; 2] = [SimBackend::Scalar64, SimBackend::Wide256];
 /// Bumped whenever the document shape changes; `--validate` requires it.
 /// 2 added provenance (`git_revision`, `timestamp`); 3 added the `width`
 /// packed-backend comparison section; 4 added the skipped-row shape for
 /// thread counts the host cannot measure meaningfully; 5 replaced the
-/// thread-count `results` sweep with the one `serial` row.
-const SCHEMA_VERSION: u64 = 5;
+/// thread-count `results` sweep with the one `serial` row; 6 dropped the
+/// `width` section with the second packed width.
+const SCHEMA_VERSION: u64 = 6;
 
 /// `--NAME VALUE` from the args, else the `env` variable, else `"unknown"`.
 /// Benchmarks never read the clock or the repo themselves — provenance is
@@ -99,8 +91,8 @@ fn main() {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
 
-    let (passes, checksum, events) = timed_passes(&base, &[SimBackend::Scalar64], &stream);
-    let secs = median(passes[0].clone());
+    let (passes, checksum, events) = timed_passes(&base, &stream);
+    let secs = median(passes);
     let serial = format!(
         "{{\"vectors\": {vectors}, \"secs\": {secs:.4}, \"vectors_per_sec\": {:.0}, \"fault_events_per_sec\": {:.0}}}",
         vectors as f64 / secs,
@@ -113,9 +105,8 @@ fn main() {
     );
 
     println!(
-        "{{\n  \"bench\": \"step_throughput\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_revision\": \"{git_revision}\",\n  \"timestamp\": \"{timestamp}\",\n  \"circuit\": \"{CIRCUIT}\",\n  \"mode\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"identity_checksum\": {checksum},\n  \"serial\": {serial},\n  \"width\": [\n{}\n  ]\n}}",
+        "{{\n  \"bench\": \"step_throughput\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_revision\": \"{git_revision}\",\n  \"timestamp\": \"{timestamp}\",\n  \"circuit\": \"{CIRCUIT}\",\n  \"mode\": \"{}\",\n  \"host_cpus\": {host_cpus},\n  \"identity_checksum\": {checksum},\n  \"serial\": {serial}\n}}",
         if smoke { "smoke" } else { "full" },
-        width_rows()
     );
 }
 
@@ -124,32 +115,21 @@ fn main() {
 /// the regression gate.
 const PASSES: usize = 5;
 
-/// Replays `stream` [`PASSES`] times on each of `backends`, interleaved
-/// pass by pass so a slow spell on a shared host hits every backend alike,
-/// each pass through a fresh copy of `base`. Asserts every pass of every
-/// backend reproduces the same identity checksum. Returns, per backend,
-/// the seconds of each pass in pass order, plus the checksum and
-/// faulty-event count (see [`run_stream`]).
-fn timed_passes(
-    base: &FaultSim,
-    backends: &[SimBackend],
-    stream: &[Vec<Logic>],
-) -> (Vec<Vec<f64>>, u64, u64) {
-    let mut secs = vec![Vec::with_capacity(PASSES); backends.len()];
+/// Replays `stream` [`PASSES`] times, each pass through a fresh copy of
+/// `base`, asserting every pass reproduces the same identity checksum.
+/// Returns the seconds of each pass, plus the checksum and faulty-event
+/// count (see [`run_stream`]).
+fn timed_passes(base: &FaultSim, stream: &[Vec<Logic>]) -> (Vec<f64>, u64, u64) {
+    let mut secs = Vec::with_capacity(PASSES);
     let mut result = None;
     for _ in 0..PASSES {
-        for (b, &backend) in backends.iter().enumerate() {
-            let mut sim = base.clone();
-            sim.set_backend(backend);
-            let (pass_secs, sum, events) = run_stream(&mut sim, stream);
-            assert_eq!(
-                result.get_or_insert((sum, events)).0,
-                sum,
-                "{} diverged from the first pass's results",
-                backend.name()
-            );
-            secs[b].push(pass_secs);
-        }
+        let (pass_secs, sum, events) = run_stream(&mut base.clone(), stream);
+        assert_eq!(
+            result.get_or_insert((sum, events)).0,
+            sum,
+            "a pass diverged from the first pass's results"
+        );
+        secs.push(pass_secs);
     }
     let (sum, events) = result.expect("at least one pass");
     (secs, sum, events)
@@ -163,8 +143,8 @@ fn median(mut values: Vec<f64>) -> f64 {
 
 /// Replays `stream` through `sim`, returning elapsed seconds, the identity
 /// checksum (step index × fault id over every newly detected fault plus
-/// per-step faulty-event and flip-flop-effect counts — all
-/// width-invariant), and the total faulty-event count.
+/// per-step faulty-event and flip-flop-effect counts), and the total
+/// faulty-event count.
 fn run_stream(sim: &mut FaultSim, stream: &[Vec<Logic>]) -> (f64, u64, u64) {
     let mut events = 0u64;
     let mut sum = 0u64;
@@ -183,8 +163,7 @@ fn run_stream(sim: &mut FaultSim, stream: &[Vec<Logic>]) -> (f64, u64, u64) {
 }
 
 /// Smoke-only shakeout on a circuit an order of magnitude past tier 1: a
-/// short random stream through one synthetic 10k-gate machine, each packed
-/// width replaying it bit-identically. Stderr only — the committed JSON
+/// short random stream through one synthetic 10k-gate machine. Stderr only — the committed JSON
 /// tracks the ISCAS89 numbers; this exists so CI exercises the levelized
 /// CSR and group scheduling at a size where s1423 cannot.
 fn smoke_synthetic_10k() {
@@ -208,76 +187,12 @@ fn smoke_synthetic_10k() {
     let stream: Vec<Vec<Logic>> = (0..24)
         .map(|_| (0..pis).map(|_| Logic::from_bool(vec_rng.coin())).collect())
         .collect();
-    let mut reference: Option<u64> = None;
-    for backend in WIDTH_BACKENDS {
-        let mut sim = base.clone();
-        sim.set_backend(backend);
-        let (secs, sum, _) = run_stream(&mut sim, &stream);
-        match reference {
-            None => reference = Some(sum),
-            Some(c) => assert_eq!(
-                c,
-                sum,
-                "synthetic 10k: {} diverged from the scalar64 results",
-                backend.name()
-            ),
-        }
-        eprintln!(
-            "smoke synthetic 10k {}: {} vectors in {secs:.2}s = {:.0} vectors/sec",
-            backend.name(),
-            stream.len(),
-            stream.len() as f64 / secs
-        );
-    }
-}
-
-/// The packed-backend comparison: serial step throughput per backend per
-/// circuit, asserting the identity checksum is bit-identical across widths.
-/// Wide rows carry `speedup_vs_scalar64` so the trajectory of the wide
-/// backend's advantage is tracked directly in the committed baseline.
-fn width_rows() -> String {
-    let mut rows = String::new();
-    for &name in &WIDTH_CIRCUITS {
-        let circuit = Arc::new(benchmarks::iscas89(name).expect("bundled circuit"));
-        let pis = circuit.num_inputs();
-        let mut base = FaultSim::new(Arc::clone(&circuit));
-        let mut rng = Rng::new(1);
-        for _ in 0..20 {
-            let v: Vec<Logic> = (0..pis).map(|_| Logic::from_bool(rng.coin())).collect();
-            base.step(&v);
-        }
-        let vectors = if name == "s1423" { 1500 } else { 4000 };
-        let mut vec_rng = Rng::new(9);
-        let stream: Vec<Vec<Logic>> = (0..vectors)
-            .map(|_| (0..pis).map(|_| Logic::from_bool(vec_rng.coin())).collect())
-            .collect();
-        // The speedup is the median of per-pass ratios: interleaved passes
-        // pair up a scalar and a wide run taken under the same host load.
-        let (passes, sum, _) = timed_passes(&base, &WIDTH_BACKENDS, &stream);
-        let speedup = median((0..PASSES).map(|p| passes[0][p] / passes[1][p]).collect());
-        for (b, backend) in WIDTH_BACKENDS.iter().enumerate() {
-            let secs = median(passes[b].clone());
-            let rate = vectors as f64 / secs;
-            let speedup_field = if b == 0 {
-                String::new()
-            } else {
-                format!(", \"speedup_vs_scalar64\": {speedup:.3}")
-            };
-            if !rows.is_empty() {
-                rows.push_str(",\n");
-            }
-            rows.push_str(&format!(
-                "    {{\"circuit\": \"{name}\", \"backend\": \"{}\", \"lanes\": {}, \"vectors\": {vectors}, \"secs\": {secs:.4}, \"vectors_per_sec\": {rate:.0}, \"identity_checksum\": {sum}{speedup_field}}}",
-                backend.name(),
-                backend.lanes()
-            ));
-            eprintln!(
-                "width {name} {}: {vectors} vectors in {secs:.2}s = {rate:.0} vectors/sec",
-                backend.name()
-            );
-        }
-    }
-    rows
+    let (secs, _, _) = run_stream(&mut base.clone(), &stream);
+    eprintln!(
+        "smoke synthetic 10k: {} vectors in {secs:.2}s = {:.0} vectors/sec",
+        stream.len(),
+        stream.len() as f64 / secs
+    );
 }
 
 /// Parses `path` as a `BENCH_sim` document and checks every field the
@@ -321,49 +236,5 @@ fn validate(path: &str) -> Result<String, String> {
             .and_then(|v| v.as_f64())
             .ok_or_else(|| format!("`serial` missing numeric `{key}`"))?;
     }
-    let width = field("width")?
-        .as_array()
-        .ok_or("`width` is not an array")?;
-    if width.is_empty() {
-        return Err("`width` is empty".into());
-    }
-    for (i, row) in width.iter().enumerate() {
-        for key in ["circuit", "backend"] {
-            row.get(key)
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| format!("width[{i}] missing string `{key}`"))?;
-        }
-        for key in [
-            "lanes",
-            "vectors",
-            "secs",
-            "vectors_per_sec",
-            "identity_checksum",
-        ] {
-            row.get(key)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("width[{i}] missing numeric `{key}`"))?;
-        }
-    }
-    // Per circuit, every backend row must report the same identity checksum
-    // — the baseline itself is proof the widths agreed when it was recorded.
-    for circuit in WIDTH_CIRCUITS {
-        let sums: Vec<f64> = width
-            .iter()
-            .filter(|r| r.get("circuit").and_then(|v| v.as_str()) == Some(circuit))
-            .filter_map(|r| r.get("identity_checksum").and_then(|v| v.as_f64()))
-            .collect();
-        if sums.len() < WIDTH_BACKENDS.len() {
-            return Err(format!("`width` is missing backend rows for `{circuit}`"));
-        }
-        if sums.iter().any(|&s| s != sums[0]) {
-            return Err(format!(
-                "`width` checksums disagree across backends for `{circuit}`"
-            ));
-        }
-    }
-    Ok(format!(
-        "{path} ok: serial row, {} width rows, host_cpus {cpus}",
-        width.len()
-    ))
+    Ok(format!("{path} ok: serial row, host_cpus {cpus}"))
 }

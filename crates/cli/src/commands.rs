@@ -19,7 +19,7 @@ use gatest_netlist::depth::sequential_depth;
 use gatest_netlist::scoap::Scoap;
 use gatest_sim::dictionary::FaultDictionary;
 use gatest_sim::transition::TransitionFaultSim;
-use gatest_sim::{FaultSim, Logic, SimBackend};
+use gatest_sim::{FaultSim, Logic};
 use gatest_telemetry::json::{parse_json, spans_from_json, Json};
 use gatest_telemetry::{
     Instruments, JsonlTraceWriter, MetricsObserver, MetricsServer, MultiObserver, ProgressReporter,
@@ -67,21 +67,6 @@ fn worker_count(opts: &Opts) -> Result<usize, Box<dyn Error>> {
     value.parse().map_err(|_| {
         UsageError::boxed(format!(
             "--workers expects a non-negative integer or `auto`, got `{value}`"
-        ))
-    })
-}
-
-/// Parses `--sim-width`: `scalar64`/`64`, `wide256`/`256`, or `auto`
-/// (pick the widest backend the host supports well). Defaults to
-/// scalar64. Results are bit-identical across widths; this knob only trades
-/// per-step cost against how many fault machines ride in one packed word.
-fn sim_width_backend(opts: &Opts) -> Result<SimBackend, Box<dyn Error>> {
-    let Some(value) = opts.get("sim-width") else {
-        return Ok(SimBackend::default());
-    };
-    value.parse().map_err(|_| {
-        UsageError::boxed(format!(
-            "--sim-width expects scalar64|wide256|auto (or 64|256), got `{value}`"
         ))
     })
 }
@@ -191,7 +176,6 @@ pub fn atpg(opts: &Opts) -> Result<ExitCode, Box<dyn Error>> {
     let circuit = load_circuit(&spec)?;
     let mut config = GatestConfig::for_circuit(&circuit)
         .with_workers(worker_count(opts)?)
-        .with_sim_width(sim_width_backend(opts)?)
         .with_dedup(!opts.has("no-dedup"));
     if let Some(entries) = eval_cache_override(opts)? {
         config = config.with_eval_cache(entries);
@@ -887,15 +871,6 @@ pub fn summarize_trace(text: &str) -> Result<String, Box<dyn Error>> {
                     field("seed"),
                     field("total_faults"),
                 );
-                // Traces recorded before the packed-backend fields existed
-                // simply omit this suffix.
-                if let Some(backend) = j.get("backend").and_then(Json::as_str) {
-                    let _ = write!(
-                        header,
-                        ", backend {backend} ({} lanes)",
-                        field("lanes").max(1)
-                    );
-                }
             }
             ("phase_entered", Some(p)) => phases[p].entered += 1,
             ("ga_generation", Some(p)) => {
@@ -929,16 +904,6 @@ pub fn summarize_trace(text: &str) -> Result<String, Box<dyn Error>> {
                             100.0 * hits as f64 / lookups.max(1) as f64,
                             cf("dedup_skips"),
                             cf("prefix_frames_avoided"),
-                        );
-                    }
-                    // Zero on scalar runs and absent (so zero) in old
-                    // traces — either way the line is omitted.
-                    if cf("wide_groups") > 0 {
-                        let _ = write!(
-                            footer,
-                            "\nwide sim: {} groups at {} lanes/group",
-                            cf("wide_groups"),
-                            cf("lanes_per_group"),
                         );
                     }
                     if cf("events_amortized") + cf("commit_batch_frames") > 0 {
@@ -1027,14 +992,13 @@ mod tests {
 {\"event\":\"run_finished\",\"detected\":7,\"total_faults\":26,\"vectors\":2,\"ga_evaluations\":16,\"elapsed_secs\":0.5,\"phase_time_secs\":[0.3,0.2,0,0],\"counters\":{\"cache_hits\":6,\"cache_misses\":10,\"dedup_skips\":3,\"prefix_frames_avoided\":40,\"wide_groups\":5,\"lanes_per_group\":256,\"events_amortized\":120,\"commit_batch_frames\":8}}
 ";
         let summary = summarize_trace(trace).unwrap();
+        // An older trace's backend fields and retired wide-backend counters
+        // are read past, not rendered.
         assert!(
-            summary.contains("run: s27 seed 1 (26 faults), backend wide256 (256 lanes)"),
+            summary.lines().next() == Some("run: s27 seed 1 (26 faults)"),
             "{summary}"
         );
-        assert!(
-            summary.contains("wide sim: 5 groups at 256 lanes/group"),
-            "{summary}"
-        );
+        assert!(!summary.contains("wide"), "{summary}");
         assert!(
             summary.contains("amortized: 120 events shared across lanes, 8 frames batch-committed"),
             "{summary}"
@@ -1064,10 +1028,6 @@ mod tests {
         assert!(!summary.contains("cache:"), "{summary}");
         // No phase_time_secs recorded: no wall-time columns either.
         assert!(!summary.contains("wall"), "{summary}");
-        // A pre-backend trace renders without the backend header suffix or
-        // the wide-sim counter line.
-        assert!(!summary.contains("backend"), "{summary}");
-        assert!(!summary.contains("wide sim"), "{summary}");
     }
 
     const TRACED_FINISH: &str = "\
@@ -1160,6 +1120,15 @@ mod tests {
 {\"event\":\"run_finished\",\"detected\":536,\"total_faults\":700,\"vectors\":89,\"ga_evaluations\":8712,\"elapsed_secs\":2.106984396,\"budget_exhausted\":false,\"phase_time_secs\":[0.001251695,0.009781215,0.015785913,2.079987771],\"ga_generations\":630,\"counters\":{\"step_calls\":76613,\"good_only_calls\":0,\"gate_evals\":44736744,\"good_events\":8439965,\"faulty_events\":303331711,\"checkpoint_restores\":5343,\"restore_bytes_avoided\":142997796,\"packed_phase1_frames\":26,\"pool_tasks\":1606,\"pool_idle_ns\":234333255,\"group_tasks\":152828,\"group_steal_ns\":1539470217,\"scratch_bytes_reused\":1424240580,\"checkpoint_writes\":0,\"checkpoint_bytes\":0,\"cache_hits\":3271,\"cache_misses\":5290,\"dedup_skips\":151,\"prefix_frames_avoided\":4594,\"wide_groups\":0,\"lanes_per_group\":0,\"events_amortized\":275060092,\"commit_batch_frames\":280,\"csr_bytes\":0,\"report_records_streamed\":0},\"spans\":[{\"kind\":\"run\",\"parent\":null,\"count\":1,\"incl_ns\":2107199264,\"excl_ns\":23613880},{\"kind\":\"sim_step\",\"parent\":null,\"count\":76350,\"incl_ns\":3896999034,\"excl_ns\":3754862611},{\"kind\":\"generation\",\"parent\":\"run\",\"count\":630,\"incl_ns\":2083585384,\"excl_ns\":1964564},{\"kind\":\"eval_batch\",\"parent\":\"generation\",\"count\":630,\"incl_ns\":2078391060,\"excl_ns\":2071005861},{\"kind\":\"breed\",\"parent\":\"generation\",\"count\":560,\"incl_ns\":3229760,\"excl_ns\":3229760},{\"kind\":\"cache_lookup\",\"parent\":\"eval_batch\",\"count\":630,\"incl_ns\":7385199,\"excl_ns\":7385199},{\"kind\":\"merge\",\"parent\":\"sim_step\",\"count\":76333,\"incl_ns\":142136423,\"excl_ns\":142136423}]}
 ";
 
+    /// A trace written with the four-word packed backend
+    /// (`--sim-width wide256`, s298 seed 5): its `run_started` event names
+    /// the backend and lane count, and its counters carry the two
+    /// wide-backend keys.
+    const WIDE_BACKEND_TRACE: &str = "\
+{\"event\":\"run_started\",\"circuit\":\"s298\",\"total_faults\":700,\"seed\":5,\"backend\":\"wide256\",\"lanes\":256}
+{\"event\":\"run_finished\",\"detected\":536,\"total_faults\":700,\"vectors\":113,\"ga_evaluations\":10440,\"elapsed_secs\":1.974028686,\"budget_exhausted\":false,\"phase_time_secs\":[0.00103988,0.005874078,0.009948263,1.957119571],\"ga_generations\":738,\"counters\":{\"step_calls\":83367,\"good_only_calls\":0,\"gate_evals\":32865043,\"good_events\":9180445,\"faulty_events\":179571742,\"checkpoint_restores\":6568,\"restore_bytes_avoided\":176059436,\"packed_phase1_frames\":26,\"pool_tasks\":0,\"pool_idle_ns\":0,\"scratch_bytes_reused\":2425700508,\"checkpoint_writes\":0,\"checkpoint_bytes\":0,\"cache_hits\":3728,\"cache_misses\":6502,\"dedup_skips\":210,\"prefix_frames_avoided\":7183,\"wide_groups\":83393,\"lanes_per_group\":256,\"events_amortized\":163920950,\"commit_batch_frames\":312,\"csr_bytes\":0,\"report_records_streamed\":0},\"spans\":[{\"kind\":\"run\",\"parent\":null,\"count\":1,\"incl_ns\":1974024624,\"excl_ns\":4033685},{\"kind\":\"generation\",\"parent\":\"run\",\"count\":738,\"incl_ns\":1954948179,\"excl_ns\":1483141},{\"kind\":\"sim_step\",\"parent\":\"run\",\"count\":86,\"incl_ns\":15042760,\"excl_ns\":14839981},{\"kind\":\"eval_batch\",\"parent\":\"generation\",\"count\":738,\"incl_ns\":1950581300,\"excl_ns\":46432563},{\"kind\":\"breed\",\"parent\":\"generation\",\"count\":656,\"incl_ns\":2883738,\"excl_ns\":2883738},{\"kind\":\"sim_step\",\"parent\":\"eval_batch\",\"count\":82990,\"incl_ns\":1897707298,\"excl_ns\":1821229656},{\"kind\":\"cache_lookup\",\"parent\":\"eval_batch\",\"count\":738,\"incl_ns\":6441439,\"excl_ns\":6441439},{\"kind\":\"merge\",\"parent\":\"sim_step\",\"count\":83055,\"incl_ns\":76680421,\"excl_ns\":76680421}]}
+";
+
     #[test]
     fn traces_with_retired_counters_still_load() {
         let summary = summarize_trace(OLD_COUNTERS_TRACE).unwrap();
@@ -1190,6 +1159,25 @@ mod tests {
         let pooled = trace_stats(GROUP_POOL_TRACE).unwrap();
         assert_eq!((pooled.detected, pooled.gate_evals), (536, 44_736_744));
         let (report, regressed) = diff_traces(&pooled, &pooled, 10.0, true);
+        assert!(!regressed, "{report}");
+
+        let summary = summarize_trace(WIDE_BACKEND_TRACE).unwrap();
+        assert_eq!(
+            summary.lines().next(),
+            Some("run: s298 seed 5 (700 faults)")
+        );
+        assert!(
+            summary.contains("finished: 536/700 detected, 113 vectors, 10440 GA evaluations"),
+            "{summary}"
+        );
+        assert!(!summary.contains("wide"), "{summary}");
+        let table = trace_phases(WIDE_BACKEND_TRACE).unwrap();
+        assert!(table.contains("      sim_step"), "{table}");
+        let wide = trace_stats(WIDE_BACKEND_TRACE).unwrap();
+        assert_eq!((wide.detected, wide.gate_evals), (536, 32_865_043));
+        let (report, _) = diff_traces(&wide, &pooled, 10.0, false);
+        assert!(report.contains("gate_evals"), "{report}");
+        let (report, regressed) = diff_traces(&wide, &wide, 10.0, true);
         assert!(!regressed, "{report}");
     }
 

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! gatest atpg     <circuit> [--seed N] [--sample N] [--workers N|auto]
-//!                 [--sim-width scalar64|wide256|auto]
 //!                 [--out tests.txt] [--eval-cache N|off] [--no-dedup] [--paranoid-cache]
 //!                 [--trace-out trace.jsonl] [--progress] [-v|--verbose] [-q|--quiet]
 //!                 [--metrics-addr 127.0.0.1:9184]
@@ -15,13 +14,8 @@
 //! only thread knob: each worker simulates its candidates' fault groups
 //! serially. Results are bit-identical at every worker count.
 //!
-//! `--sim-width` picks the packed-simulation backend: `scalar64` (default,
-//! 64 fault machines per word), `wide256` (256 lanes, autovectorized with
-//! an AVX2 path when the host has it), or `auto` (resolves to wide256).
-//! There is no wider word: an eight-word plane measured slower than
-//! wide256 on every bench circuit (DESIGN.md §14). Like the worker
-//! count it is an execution detail: results are bit-identical at every
-//! width, and a checkpoint taken at one width resumes at another.
+//! Fault simulation packs 64 fault machines into each word; there is no
+//! width option (DESIGN.md §14).
 //!
 //! `--fault-report FILE` streams one JSONL record per committed fault
 //! detection as the run progresses, closing with a summary line and an
@@ -142,9 +136,7 @@ fn usage() -> String {
     s.push_str("trace diff <a> <b> [--threshold PCT] [--no-timing] gates regressions\n");
     s.push_str("\nparallelism (atpg): --workers N (alias --threads) sizes the\n");
     s.push_str("fitness-evaluation pool, the only thread knob; 0 or `auto` uses\n");
-    s.push_str("all available cores; --sim-width scalar64|wide256|auto picks the\n");
-    s.push_str("packed backend (64 or 256 fault machines per word; auto = wide256);\n");
-    s.push_str("results are bit-identical at every workers/sim-width combination\n");
+    s.push_str("all available cores; results are bit-identical at every worker count\n");
     s.push_str("\nmemoization (atpg): --eval-cache N bounds the fitness cache\n");
     s.push_str("(default 4096; `off` disables cache, dedup, and prefix sharing);\n");
     s.push_str("--no-dedup keeps duplicate chromosomes' evaluations; --paranoid-cache\n");
@@ -181,7 +173,6 @@ fn known_flags(command: &str) -> Option<&'static [&'static str]> {
             "sample",
             "workers",
             "threads",
-            "sim-width",
             "out",
             "eval-cache",
             "no-dedup",

@@ -187,16 +187,14 @@ mod tests {
 
     #[test]
     fn flags_outside_the_known_set_are_usage_errors() {
-        let o = parse(&["s27", "--seed", "7", "-q", "--sim-widht", "wide256"]);
+        let o = parse(&["s27", "--seed", "7", "-q", "--wrokers", "2"]);
         assert!(o
-            .check_flags("atpg", &["seed", "quiet", "sim-width"])
+            .check_flags("atpg", &["seed", "quiet", "workers"])
             .is_err());
         let err = o.check_flags("atpg", &["seed", "quiet"]).unwrap_err();
         assert!(err.downcast_ref::<UsageError>().is_some());
-        assert!(err.to_string().contains("`--sim-widht`"), "{err}");
-        assert!(o
-            .check_flags("atpg", &["seed", "quiet", "sim-widht"])
-            .is_ok());
+        assert!(err.to_string().contains("`--wrokers`"), "{err}");
+        assert!(o.check_flags("atpg", &["seed", "quiet", "wrokers"]).is_ok());
     }
 
     #[test]

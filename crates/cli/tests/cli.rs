@@ -116,8 +116,8 @@ fn missing_flag_is_reported() {
 #[test]
 fn usage_errors_exit_with_code_2() {
     // Missing circuit argument, unknown command, unknown or retired flag,
-    // a flag another command takes, unknown sim width: all usage. The
-    // budget keeps a run short should a flag ever be ignored again.
+    // a flag another command takes: all usage. The budget keeps a run
+    // short should a flag ever be ignored again.
     for args in [
         &["atpg"][..],
         &["frobnicate", "s27"][..],
@@ -126,11 +126,17 @@ fn usage_errors_exit_with_code_2() {
         &["atpg", "s27", "--sim-threads", "2", "--max-evals", "50"][..],
         &["atpg", "s27", "--sim-threads", "auto", "--max-evals", "50"][..],
         &["atpg", "s27", "--no-such-flag", "1", "--max-evals", "50"][..],
-        &["atpg", "s27", "--sim-widht", "wide256", "--max-evals", "50"][..],
+        &["atpg", "s27", "--sim-width", "wide256", "--max-evals", "50"][..],
+        &[
+            "atpg",
+            "s27",
+            "--sim-width",
+            "scalar64",
+            "--max-evals",
+            "50",
+        ][..],
+        &["atpg", "s27", "--sim-width", "auto", "--max-evals", "50"][..],
         &["stats", "s27", "--seed", "1"][..],
-        &["atpg", "s27", "--sim-width", "1024"][..],
-        &["atpg", "s27", "--sim-width", "wide512"][..],
-        &["atpg", "s27", "--sim-width", "512"][..],
         &["trace", "s27"][..],
     ] {
         let out = gatest(args);
@@ -193,39 +199,7 @@ fn trace_out_emits_all_event_kinds_and_summarizes() {
     assert!(out.status.success());
     let summary = String::from_utf8_lossy(&out.stdout);
     assert!(summary.contains("run: s27 seed 3"), "{summary}");
-    assert!(summary.contains("backend scalar64 (64 lanes)"), "{summary}");
     assert!(summary.contains("finished: "), "{summary}");
-}
-
-#[test]
-fn sim_width_backends_produce_byte_identical_result_json() {
-    let dir = std::env::temp_dir().join("gatest_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut jsons = Vec::new();
-    for backend in ["scalar64", "wide256", "auto"] {
-        let json = dir.join(format!("s27.{backend}.json"));
-        let out = gatest(&[
-            "atpg",
-            "s27",
-            "--seed",
-            "3",
-            "--sim-width",
-            backend,
-            "--result-json",
-            json.to_str().unwrap(),
-            "--out",
-            "/dev/null",
-            "-q",
-        ]);
-        assert!(
-            out.status.success(),
-            "--sim-width {backend}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        jsons.push(std::fs::read(&json).unwrap());
-    }
-    assert_eq!(jsons[0], jsons[1], "scalar64 vs wide256 result JSON differ");
-    assert_eq!(jsons[0], jsons[2], "scalar64 vs auto result JSON differ");
 }
 
 #[test]

@@ -47,13 +47,12 @@ use crate::config::{FaultSample, GatestConfig};
 pub const MAGIC: [u8; 8] = *b"GATESTCP";
 /// Current checkpoint format version. Version 2 added the evaluation epoch
 /// (the fitness cache's invalidation key) and the memoization counters;
-/// version 3 added the wide-backend counters (`wide_groups`,
-/// `lanes_per_group`); version 4 stores the simulator state as a list of
+/// version 3 added two counters of a since-removed wide simulation
+/// backend; version 4 stores the simulator state as a list of
 /// [`SimState`]s and persists the full counter set. Older files are
-/// rejected with [`CheckpointError::VersionMismatch`]. The simulation
-/// backend is not stored: like thread counts, it is an execution detail
-/// that cannot change results, so a run may resume under a different
-/// `--sim-width` than it was checkpointed with.
+/// rejected with [`CheckpointError::VersionMismatch`]. Counter slots of
+/// removed features stay in the layout: they are written as 0 and ignored
+/// on decode, so files from builds that still had them load unchanged.
 pub const VERSION: u32 = 4;
 
 /// A complete, serializable snapshot of an in-progress (or finished)
@@ -228,8 +227,7 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Digest of every configuration field that influences the search path
 /// (everything except the seed — stored separately — and the runtime-only
-/// knobs `parallel_workers`, `sim_width`, the two budget
-/// limits, and the memoization knobs `eval_cache_entries` / `dedup` /
+/// knobs `parallel_workers`, the two budget limits, and the memoization knobs `eval_cache_entries` / `dedup` /
 /// `paranoid_cache`, which are all bit-identity-neutral). Resume
 /// compares this digest so a checkpoint is never silently continued under
 /// a different configuration.
@@ -579,8 +577,9 @@ impl RunSnapshot {
             c.cache_misses,
             c.dedup_skips,
             c.prefix_frames_avoided,
-            c.wide_groups,
-            c.lanes_per_group,
+            // Two retired counter slots (wide backend), always zero.
+            0,
+            0,
             c.events_amortized,
             c.commit_batch_frames,
             c.csr_bytes,
@@ -753,8 +752,6 @@ impl RunSnapshot {
             cache_misses: counter_fields[16],
             dedup_skips: counter_fields[17],
             prefix_frames_avoided: counter_fields[18],
-            wide_groups: counter_fields[19],
-            lanes_per_group: counter_fields[20],
             events_amortized: counter_fields[21],
             commit_batch_frames: counter_fields[22],
             csr_bytes: counter_fields[23],
@@ -895,8 +892,6 @@ mod tests {
                 cache_misses: 40,
                 dedup_skips: 12,
                 prefix_frames_avoided: 320,
-                wide_groups: 9,
-                lanes_per_group: 256,
                 events_amortized: 77,
                 commit_batch_frames: 11,
                 csr_bytes: 4096,
@@ -920,11 +915,18 @@ mod tests {
     fn retired_counter_slots_are_written_as_zero_and_ignored() {
         let bytes = sample_snapshot().encode();
         let slot = |i: usize| bytes.len() - 8 - (27 - i) * 8;
-        for i in [10, 11, 24, 25] {
+        for i in [10, 11, 19, 20, 24, 25] {
             assert_eq!(bytes[slot(i)..slot(i) + 8], [0u8; 8], "slot {i}");
         }
         let mut old = bytes.clone();
-        for (i, v) in [(10, 340u64), (11, 6_000_000), (24, 6), (25, 1234)] {
+        for (i, v) in [
+            (10, 340u64),
+            (11, 6_000_000),
+            (19, 9),
+            (20, 256),
+            (24, 6),
+            (25, 1234),
+        ] {
             old[slot(i)..slot(i) + 8].copy_from_slice(&v.to_le_bytes());
         }
         let n = old.len() - 8;
@@ -956,7 +958,7 @@ mod tests {
     #[test]
     fn old_versions_are_rejected_with_the_found_version() {
         // Version 2 added the eval epoch and memoization counters; version 3
-        // added the wide-backend counters; version 4 stores a list of sim
+        // added two wide-backend counters; version 4 stores a list of sim
         // states and the full counter set. Older files lack those fields,
         // so decoding must refuse them up front rather than misinterpret
         // the stream.
@@ -1019,7 +1021,6 @@ mod tests {
         b.eval_cache_entries = 0;
         b.dedup = false;
         b.paranoid_cache = true;
-        b.sim_width = gatest_sim::SimBackend::Wide256;
         assert_eq!(config_digest(&a), config_digest(&b), "runtime knobs");
         let mut c = a.clone();
         c.generations = 9;

@@ -2,7 +2,6 @@
 
 use gatest_ga::{Coding, CrossoverScheme, SelectionScheme};
 use gatest_netlist::Circuit;
-use gatest_sim::SimBackend;
 
 /// How many faults to simulate when evaluating candidate fitness (§III-B).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,13 +99,10 @@ pub struct GatestConfig {
     /// parallelism). This is the run's only thread knob: each worker
     /// simulates its candidates' fault groups serially.
     pub parallel_workers: usize,
-    /// Packed-simulation backend width: `scalar64` (one 64-lane `u64` word
-    /// per plane), `wide256` (four words, autovectorized with a runtime
-    /// AVX2 fast path), or `auto` (the widest available). Like the worker
-    /// count this is an execution detail: results are bit-identical at any
-    /// width, so it is excluded from the checkpoint config digest and a run
-    /// may resume under a different width.
-    pub sim_width: SimBackend,
+    /// Always `Scalar64`, the one packed width. Kept only because the
+    /// frozen benchmark harness in `perfbench/` still reads it.
+    #[doc(hidden)]
+    pub sim_width: gatest_sim::SimBackend,
     /// Capacity (in entries) of the epoch-keyed fitness cache, the heart of
     /// the memoization layer in front of candidate evaluation. `0` disables
     /// the whole layer (cache and prefix-sharing sequence evaluation) —
@@ -157,7 +153,7 @@ impl Default for GatestConfig {
             max_sequence_failures: 4,
             max_vectors: 10_000,
             parallel_workers: 1,
-            sim_width: SimBackend::Scalar64,
+            sim_width: gatest_sim::SimBackend::Scalar64,
             eval_cache_entries: 4096,
             dedup: true,
             paranoid_cache: false,
@@ -198,13 +194,6 @@ impl GatestConfig {
     /// at run time, see [`GatestConfig::resolved_workers`]).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.parallel_workers = workers;
-        self
-    }
-
-    /// A new configuration with a different packed-simulation backend
-    /// width. Runtime-only: results are bit-identical at any width.
-    pub fn with_sim_width(mut self, backend: SimBackend) -> Self {
-        self.sim_width = backend;
         self
     }
 
@@ -339,22 +328,6 @@ mod tests {
         assert_eq!(
             GatestConfig::default().with_workers(6).resolved_workers(),
             6
-        );
-    }
-
-    #[test]
-    fn sim_width_defaults_to_scalar() {
-        let cfg = GatestConfig::default();
-        assert_eq!(cfg.sim_width, SimBackend::Scalar64);
-        assert_eq!(cfg.sim_width.lanes(), 64);
-        let wide = GatestConfig::default().with_sim_width(SimBackend::Wide256);
-        assert_eq!(wide.sim_width.lanes(), 256);
-        assert_eq!(
-            GatestConfig::default()
-                .with_sim_width(SimBackend::Auto)
-                .sim_width
-                .resolved(),
-            SimBackend::Wide256
         );
     }
 

@@ -20,8 +20,8 @@ use gatest_ga::{
 use gatest_netlist::depth::sequential_depth;
 use gatest_netlist::Circuit;
 use gatest_sim::{
-    FaultId, FaultList, FaultReportWriter, FaultSim, GoodSim, Logic, PackedGoodSim, PackedValue,
-    Pv256, Pv64, SimBackend, StepReport,
+    FaultId, FaultList, FaultReportWriter, FaultSim, GoodSim, Logic, PackedGoodSim, Pv64,
+    StepReport,
 };
 use gatest_telemetry::{
     Instruments, NullObserver, RunEvent, RunObserver, SimCounters, SpanHandle, SpanKind,
@@ -286,7 +286,7 @@ struct MachineState {
 /// leg and deliberately kept out of [`MachineState`]/[`RunSnapshot`].
 struct DriverCtx {
     pool: Option<EvalPool>,
-    packed: Option<PackedGood>,
+    packed: Option<PackedGoodSim>,
     /// The memoization layer (dedup + fitness cache); `None` when both are
     /// disabled. Process-local by design: a resumed leg starts cold and
     /// merely re-simulates what the cache would have answered, so results
@@ -322,7 +322,6 @@ impl TestGenerator {
         let seq_depth = sequential_depth(&circuit);
         let counters = Arc::new(SimCounters::new());
         sim.set_counters(Some(Arc::clone(&counters)));
-        sim.set_backend(config.sim_width);
         TestGenerator {
             circuit,
             sim,
@@ -507,13 +506,10 @@ impl TestGenerator {
     ) -> (TestGenResult, Option<RunSnapshot>) {
         let start = Instant::now();
         let run_span = self.probe().map(|p| p.enter(SpanKind::Run));
-        let backend = self.sim.backend().resolved();
         self.observer.on_event(&RunEvent::RunStarted {
             circuit: self.circuit.name().to_string(),
             total_faults: self.sim.fault_list().len(),
             seed: self.config.seed,
-            backend: backend.name().to_string(),
-            lanes: backend.lanes(),
         });
 
         let workers = self.config.resolved_workers();
@@ -538,7 +534,7 @@ impl TestGenerator {
             // through the shared EvalContext instead of deep-cloning per
             // batch.
             pool: (workers > 1).then(|| EvalPool::new(&self.sim, workers)),
-            packed: (nffs > 0).then(|| PackedGood::new(backend, Arc::clone(&self.circuit))),
+            packed: (nffs > 0).then(|| PackedGoodSim::new(Arc::clone(&self.circuit))),
             memo: EvalMemo::new(self.config.eval_cache_entries, self.config.dedup),
             scratch: Vec::with_capacity(pis),
             seq_lens: self.config.sequence_lengths(self.seq_depth),
@@ -1479,24 +1475,6 @@ fn snapshot_ga(ga: &ActiveGa) -> GaSnapshot {
     }
 }
 
-/// The packed phase-1 good-machine simulator at the width the run's
-/// simulation backend selected. Phase-1 scores are per-candidate and
-/// lane-wise identical across widths, so this is — like the backend itself —
-/// pure mechanism.
-enum PackedGood {
-    Narrow(PackedGoodSim<Pv64>),
-    Wide(PackedGoodSim<Pv256>),
-}
-
-impl PackedGood {
-    fn new(backend: SimBackend, circuit: Arc<Circuit>) -> Self {
-        match backend.resolved() {
-            SimBackend::Scalar64 => PackedGood::Narrow(PackedGoodSim::new(circuit)),
-            _ => PackedGood::Wide(PackedGoodSim::new(circuit)),
-        }
-    }
-}
-
 /// The raw (unmemoized) evaluation machinery for one GA batch: the packed
 /// good-machine simulator in phase 1, the persistent worker pool when
 /// configured, or the serial scoring loop. All paths are bit-identical; the
@@ -1505,7 +1483,7 @@ struct RawEval<'a> {
     sim: &'a mut FaultSim,
     counters: &'a SimCounters,
     pool: Option<&'a EvalPool>,
-    packed: Option<&'a mut PackedGood>,
+    packed: Option<&'a mut PackedGoodSim>,
     scratch: &'a mut Vec<Logic>,
 }
 
@@ -1534,14 +1512,7 @@ impl RawEval<'_> {
                 .packed
                 .as_deref_mut()
                 .expect("phase 1 only runs on circuits with flip-flops");
-            match packed {
-                PackedGood::Narrow(p) => {
-                    packed_phase1_scores(p, self.sim.good(), self.counters, batch, pis, scale)
-                }
-                PackedGood::Wide(p) => {
-                    packed_phase1_scores(p, self.sim.good(), self.counters, batch, pis, scale)
-                }
-            }
+            packed_phase1_scores(packed, self.sim.good(), self.counters, batch, pis, scale)
         } else if let Some(pool) = self.pool {
             pool.dispatch(ctx, batch, shared_prefix, parent)
         } else if shared_prefix {
@@ -1645,12 +1616,12 @@ fn eval_batch(path: &mut EvalPath<'_>, ctx: &Arc<EvalContext>, batch: &[Chromoso
 }
 
 /// Scores a phase-1 batch with the packed good-machine simulator:
-/// ⌈batch/`P::LANES`⌉ two-frame passes instead of two serial good-machine
-/// steps per candidate. Bit-identical to the scalar path (and across
-/// widths) because packed evaluation is lane-wise identical to
-/// `eval_scalar`, so `phase1` sees the same flip-flop statistics.
-fn packed_phase1_scores<P: PackedValue>(
-    packed: &mut PackedGoodSim<P>,
+/// ⌈batch/64⌉ two-frame passes instead of two serial good-machine steps per
+/// candidate. Bit-identical to the scalar path because packed evaluation is
+/// lane-wise identical to `eval_scalar`, so `phase1` sees the same
+/// flip-flop statistics.
+fn packed_phase1_scores(
+    packed: &mut PackedGoodSim,
     good: &GoodSim,
     counters: &SimCounters,
     batch: &[Chromosome],
@@ -1658,13 +1629,13 @@ fn packed_phase1_scores<P: PackedValue>(
     scale: FitnessScale,
 ) -> Vec<f64> {
     let mut scores = Vec::with_capacity(batch.len());
-    let mut pi_words = vec![P::ALL_X; pis];
-    for chunk in batch.chunks(P::LANES) {
+    let mut pi_words = vec![Pv64::ALL_X; pis];
+    for chunk in batch.chunks(Pv64::LANES) {
         packed.seed_from(good);
-        pi_words.fill(P::ALL_X);
+        pi_words.fill(Pv64::ALL_X);
         for (lane, chrom) in chunk.iter().enumerate() {
             for (i, word) in pi_words.iter_mut().enumerate() {
-                word.set_lane(lane, Logic::from_bool(chrom.bit(i)));
+                word.set(lane as u32, Logic::from_bool(chrom.bit(i)));
             }
         }
         // Two-frame hold, matching the serial phase-1 evaluation.

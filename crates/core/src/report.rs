@@ -114,19 +114,8 @@ pub fn telemetry_table(result: &TestGenResult) -> String {
         "pool idle",
         t.counters.pool_idle_ns as f64 / 1e9
     );
-    // Wide-backend counters are zero for scalar64 runs and absent entirely
-    // in traces from before the width-generic backend; print them only when
-    // a wide backend actually ran, so old and narrow outputs are unchanged.
-    if t.counters.wide_groups > 0 {
-        let _ = writeln!(out, "{:<22} {:>10}", "wide groups", t.counters.wide_groups);
-        let _ = writeln!(
-            out,
-            "{:<22} {:>10}",
-            "lanes/group", t.counters.lanes_per_group
-        );
-    }
-    // Amortization counters follow the same rule: zero on runs (and absent
-    // in traces) from before the CSR/window work, so hide them there.
+    // Amortization counters are zero on runs (and absent in traces) from
+    // before the CSR/window work, so hide them there.
     if t.counters.events_amortized > 0 {
         let _ = writeln!(
             out,
@@ -516,8 +505,6 @@ mod tests {
                     cache_misses: 430,
                     dedup_skips: 37,
                     prefix_frames_avoided: 1_900,
-                    wide_groups: 48,
-                    lanes_per_group: 256,
                     events_amortized: 2_100,
                     commit_batch_frames: 18,
                     csr_bytes: 64_000,
@@ -607,8 +594,6 @@ mod tests {
             "packed p1 frames",
             "pool tasks",
             "pool idle",
-            "wide groups",
-            "lanes/group",
             "events amortized",
             "batched frames",
             "csr adjacency",
@@ -642,19 +627,15 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_table_hides_wide_counters_for_narrow_runs() {
-        // Scalar64 runs (and traces recorded before the width-generic
-        // backend) have wide_groups == 0 and must render exactly as before.
+    fn telemetry_table_hides_zero_optional_counters() {
+        // Runs (and traces) from before the CSR/window and streaming-report
+        // work have these counters at zero and render without their rows.
         let mut r = sample_result();
-        r.telemetry.counters.wide_groups = 0;
-        r.telemetry.counters.lanes_per_group = 0;
         r.telemetry.counters.events_amortized = 0;
         r.telemetry.counters.commit_batch_frames = 0;
         r.telemetry.counters.csr_bytes = 0;
         r.telemetry.counters.report_records_streamed = 0;
         let table = telemetry_table(&r);
-        assert!(!table.contains("wide groups"), "{table}");
-        assert!(!table.contains("lanes/group"), "{table}");
         assert!(!table.contains("events amortized"), "{table}");
         assert!(!table.contains("batched frames"), "{table}");
         assert!(!table.contains("csr adjacency"), "{table}");

@@ -2,7 +2,7 @@
 
 use gatest_netlist::GateKind;
 
-use crate::value::{Logic, PackedValue};
+use crate::value::{Logic, Pv64};
 
 /// Evaluates a gate over scalar three-valued fanin values.
 ///
@@ -38,14 +38,27 @@ pub fn eval_scalar(kind: GateKind, fanin: &[Logic]) -> Logic {
     }
 }
 
-/// Evaluates a gate over packed fanin words (`P::LANES` lanes at once).
+/// Evaluates a gate over packed fanin words (64 lanes at once).
 ///
-/// Same contract as [`eval_scalar`]. Delegates to
-/// [`PackedValue::eval_gate`], so backends with a vectorized override (e.g.
-/// [`Pv256`](crate::Pv256)'s AVX2 path) are dispatched here.
+/// Same contract as [`eval_scalar`], lane by lane.
 #[inline]
-pub fn eval_packed<P: PackedValue>(kind: GateKind, fanin: &[P]) -> P {
-    P::eval_gate(kind, fanin)
+pub fn eval_packed(kind: GateKind, fanin: &[Pv64]) -> Pv64 {
+    match kind {
+        GateKind::And => fanin.iter().copied().fold(Pv64::ALL_ONE, Pv64::and),
+        GateKind::Nand => fanin.iter().copied().fold(Pv64::ALL_ONE, Pv64::and).not(),
+        GateKind::Or => fanin.iter().copied().fold(Pv64::ALL_ZERO, Pv64::or),
+        GateKind::Nor => fanin.iter().copied().fold(Pv64::ALL_ZERO, Pv64::or).not(),
+        GateKind::Xor => fanin.iter().copied().fold(Pv64::ALL_ZERO, Pv64::xor),
+        GateKind::Xnor => fanin.iter().copied().fold(Pv64::ALL_ZERO, Pv64::xor).not(),
+        GateKind::Not => fanin[0].not(),
+        GateKind::Buf => fanin[0],
+        GateKind::Const0 => Pv64::ALL_ZERO,
+        GateKind::Const1 => Pv64::ALL_ONE,
+        GateKind::Input | GateKind::Dff => {
+            debug_assert!(false, "{kind} values come from the environment");
+            Pv64::ALL_X
+        }
+    }
 }
 
 /// The controlling input value of a gate, if it has one (e.g. 0 for AND).
@@ -82,7 +95,6 @@ pub fn is_inverting(kind: GateKind) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Pv64;
     use Logic::{One, Zero, X};
 
     #[test]

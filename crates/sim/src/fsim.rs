@@ -3,10 +3,8 @@
 //! Follows the published structure of PROOFS (Niermann, Cheng, Patel, 1992):
 //!
 //! * **single-fault propagation**: each undetected fault is simulated as an
-//!   independent faulty machine, but many faults are packed into the bit
-//!   lanes of one packed word — 64 with the [`Pv64`](crate::Pv64) backend,
-//!   256 with [`Pv256`](crate::Pv256) — and propagated together (see
-//!   [`SimBackend`]);
+//!   independent faulty machine, but 64 faults are packed into the bit
+//!   lanes of one [`Pv64`](crate::Pv64) word and propagated together;
 //! * **event-driven, levelized evaluation**: only gates in the fanout cone of
 //!   a difference are re-evaluated, in level order;
 //! * **fault dropping**: faults detected at a primary output are removed
@@ -37,7 +35,7 @@ use crate::group::{
     simulate_group, simulate_group_window, FaultyFfState, GoodFrame, GroupCtx, GroupOutcome,
     Scratch,
 };
-use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv64, SimBackend};
+use crate::value::{for_each_lane, Logic, Pv64};
 
 /// Statistics from simulating one vector over the active fault list.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -47,9 +45,8 @@ pub struct StepReport {
     /// Per-output detection syndrome for this vector: `(fault, po index)`
     /// pairs, one for every primary output at which a newly simulated
     /// difference appeared, sorted by `(fault, po)`. The sort canonicalizes
-    /// an order that would otherwise depend on how faults were grouped, so
-    /// reports compare equal across [`SimBackend`]s. Fault dictionaries and
-    /// diagnosis build on this.
+    /// an order that would otherwise be output-major within each fault
+    /// group. Fault dictionaries and diagnosis build on this.
     pub po_detections: Vec<(FaultId, u16)>,
     /// Fault effects latched into flip-flops by this vector, counted as
     /// (fault, flip-flop) pairs.
@@ -61,10 +58,9 @@ pub struct StepReport {
     /// Faulty-circuit events, summed over all simulated faulty machines.
     pub faulty_events: u64,
     /// Gate evaluations this frame: every good-machine combinational gate
-    /// plus one per packed faulty re-evaluation. Telemetry only — this is
-    /// the one report field that legitimately depends on the configured
-    /// [`SimBackend`] (a wider word covers more faults per evaluation), so
-    /// cross-backend identity tests exclude it.
+    /// plus one per packed faulty re-evaluation. Telemetry only: it counts
+    /// work, so it depends on how faults were batched into words and
+    /// windows, and identity tests across execution paths exclude it.
     pub gate_evals: u64,
     /// Good-circuit frame statistics (flip-flops set/changed).
     pub good: GoodStepReport,
@@ -193,55 +189,18 @@ pub struct FaultSim {
     probe: Option<SpanHandle>,
     /// Combinational gates evaluated by one good-machine frame.
     comb_gates: u64,
-    /// The requested packed-value backend (possibly `Auto`).
-    backend: SimBackend,
-    /// The width-concrete execution engine (arena, outcome slots).
+    /// The propagation arena and reusable outcome slots.
     engine: Engine,
 }
 
-/// One backend's execution state: the simulator's own propagation arena
-/// and reusable per-group outcome slots.
+/// The simulator's own propagation arena and reusable per-group outcome
+/// slots.
 #[derive(Debug, Clone)]
-struct EngineState<P: PackedValue> {
+struct Engine {
     /// The simulator's own propagation arena, reused across steps.
-    scratch: Scratch<P>,
+    scratch: Scratch,
     /// Per-group outcome slots, reused across steps.
-    outcomes: Vec<GroupOutcome<P>>,
-}
-
-impl<P: PackedValue> EngineState<P> {
-    fn new(circuit: &Circuit, max_level: usize) -> Self {
-        EngineState {
-            scratch: Scratch::new(circuit, max_level),
-            outcomes: Vec::new(),
-        }
-    }
-}
-
-/// The width-concrete engine behind [`FaultSim`]: one variant per
-/// [`PackedValue`] backend. Runtime dispatch happens once per step (the
-/// match below); everything inside a variant is monomorphized over its
-/// packed type.
-#[derive(Debug, Clone)]
-enum Engine {
-    Scalar64(EngineState<Pv64>),
-    Wide256(EngineState<Pv256>),
-}
-
-impl Engine {
-    fn new(backend: SimBackend, circuit: &Circuit, max_level: usize) -> Engine {
-        match backend.resolved() {
-            SimBackend::Scalar64 => Engine::Scalar64(EngineState::new(circuit, max_level)),
-            _ => Engine::Wide256(EngineState::new(circuit, max_level)),
-        }
-    }
-
-    fn backend(&self) -> SimBackend {
-        match self {
-            Engine::Scalar64(_) => SimBackend::Scalar64,
-            Engine::Wide256(_) => SimBackend::Wide256,
-        }
-    }
+    outcomes: Vec<GroupOutcome>,
 }
 
 impl Clone for FaultSim {
@@ -262,7 +221,6 @@ impl Clone for FaultSim {
             instruments: self.instruments.clone(),
             probe: None,
             comb_gates: self.comb_gates,
-            backend: self.backend,
             engine: self.engine.clone(),
         }
     }
@@ -285,8 +243,10 @@ impl FaultSim {
             .filter(|&id| circuit.kind(id).is_combinational())
             .count() as u64;
         let empty_ff: Arc<[(u32, Logic)]> = Arc::from(Vec::new());
-        let backend = SimBackend::default();
-        let engine = Engine::new(backend, &circuit, max_level);
+        let engine = Engine {
+            scratch: Scratch::new(&circuit, max_level),
+            outcomes: Vec::new(),
+        };
         FaultSim {
             circuit,
             good,
@@ -301,7 +261,6 @@ impl FaultSim {
             probe: None,
             comb_gates,
             faults,
-            backend,
             engine,
         }
     }
@@ -393,33 +352,6 @@ impl FaultSim {
         self.probe.clone()
     }
 
-    /// Sets the packed-value backend for [`FaultSim::step`] (see
-    /// [`SimBackend`]). The backend is a pure execution detail: results
-    /// are bit-identical at every width, so it is safe to change between
-    /// runs (or mid-run). Switching to a different resolved width rebuilds
-    /// the engine (arena, outcome slots); re-setting the current width is
-    /// free.
-    pub fn set_backend(&mut self, backend: SimBackend) {
-        self.backend = backend;
-        if backend.resolved() != self.engine.backend() {
-            let max_level = self.good.levelization().max_level() as usize;
-            self.engine = Engine::new(backend, &self.circuit, max_level);
-        }
-    }
-
-    /// The requested packed-value backend (possibly `Auto`; use
-    /// [`SimBackend::resolved`] for the width actually running).
-    pub fn backend(&self) -> SimBackend {
-        self.backend
-    }
-
-    /// The sparse faulty flip-flop state of fault `id`: `(dff index,
-    /// faulty value)` wherever its machine differs from the good machine.
-    /// Exposed so tests can assert state identity across backends.
-    pub fn faulty_ff_state(&self, id: FaultId) -> &[(u32, Logic)] {
-        &self.faulty_ff[id.index()]
-    }
-
     /// Applies one vector, simulating **all** undetected faults, dropping
     /// any that are detected.
     ///
@@ -471,8 +403,7 @@ impl FaultSim {
     /// Detection, dropping, final faulty-FF state, and every report field
     /// are bit-identical to calling [`FaultSim::step`] once per vector,
     /// except `gate_evals` (dead lanes may still occupy packed evaluations
-    /// their group schedules — the field is already excluded from identity
-    /// comparisons as width-dependent).
+    /// their group schedules, so the field counts batched work).
     ///
     /// # Panics
     ///
@@ -514,34 +445,19 @@ impl FaultSim {
         // run in group order, so every frame's accumulators see groups in
         // the same order as a serial step's merge.
         let mut detected: Vec<Vec<FaultId>> = vec![Vec::new(); vectors.len()];
-        let (ngroups, scratch_bytes, events_amortized) = match &mut self.engine {
-            Engine::Scalar64(engine) => run_engine_window(
-                &self.circuit,
-                &self.good,
-                &self.faults,
-                &mut self.faulty_ff,
-                &mut self.ff_entries,
-                &self.empty_ff,
-                &targets,
-                &frames,
-                engine,
-                &mut reports,
-                &mut detected,
-            ),
-            Engine::Wide256(engine) => run_engine_window(
-                &self.circuit,
-                &self.good,
-                &self.faults,
-                &mut self.faulty_ff,
-                &mut self.ff_entries,
-                &self.empty_ff,
-                &targets,
-                &frames,
-                engine,
-                &mut reports,
-                &mut detected,
-            ),
-        };
+        let (scratch_bytes, events_amortized) = run_engine_window(
+            &self.circuit,
+            &self.good,
+            &self.faults,
+            &mut self.faulty_ff,
+            &mut self.ff_entries,
+            &self.empty_ff,
+            &targets,
+            &frames,
+            &mut self.engine,
+            &mut reports,
+            &mut detected,
+        );
         if let Some(counters) = &self.counters {
             for report in &reports {
                 counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
@@ -549,10 +465,6 @@ impl FaultSim {
             counters.record_scratch_reuse(scratch_bytes);
             counters.record_events_amortized(events_amortized);
             counters.record_commit_batch(vectors.len() as u64);
-            let lanes = self.engine.backend().lanes();
-            if lanes > 64 {
-                counters.record_backend_groups(lanes as u64, ngroups * vectors.len() as u64);
-            }
         }
 
         // Drop detected faults frame by frame, stamping each with the
@@ -593,48 +505,27 @@ impl FaultSim {
             ..StepReport::default()
         };
 
-        // Simulate every fault group (at most `P::LANES` faults each)
-        // against the advanced good machine, writing per-group outcomes
-        // into reusable slots, then merge them back. The engine match is
-        // the per-step backend dispatch; everything inside `run_engine` is
-        // monomorphized over the packed type.
+        // Simulate every fault group (at most 64 faults each) against the
+        // advanced good machine, writing per-group outcomes into reusable
+        // slots, then merge them back.
         let mut detected: Vec<FaultId> = Vec::new();
-        let (ngroups, scratch_bytes, events_amortized) = match &mut self.engine {
-            Engine::Scalar64(engine) => run_engine(
-                &self.circuit,
-                &self.good,
-                &self.faults,
-                &mut self.faulty_ff,
-                &mut self.ff_entries,
-                &self.empty_ff,
-                targets,
-                probe.as_ref(),
-                engine,
-                &mut report,
-                &mut detected,
-            ),
-            Engine::Wide256(engine) => run_engine(
-                &self.circuit,
-                &self.good,
-                &self.faults,
-                &mut self.faulty_ff,
-                &mut self.ff_entries,
-                &self.empty_ff,
-                targets,
-                probe.as_ref(),
-                engine,
-                &mut report,
-                &mut detected,
-            ),
-        };
+        let (scratch_bytes, events_amortized) = run_engine(
+            &self.circuit,
+            &self.good,
+            &self.faults,
+            &mut self.faulty_ff,
+            &mut self.ff_entries,
+            &self.empty_ff,
+            targets,
+            probe.as_ref(),
+            &mut self.engine,
+            &mut report,
+            &mut detected,
+        );
         if let Some(counters) = &self.counters {
             counters.record_step(report.gate_evals, report.good_events, report.faulty_events);
             counters.record_scratch_reuse(scratch_bytes);
             counters.record_events_amortized(events_amortized);
-            let lanes = self.engine.backend().lanes();
-            if lanes > 64 {
-                counters.record_backend_groups(lanes as u64, ngroups);
-            }
         }
 
         if drop && !detected.is_empty() {
@@ -869,18 +760,16 @@ fn check_state(
     Ok(())
 }
 
-/// Runs one step's group simulation and merge on a width-concrete engine.
+/// Runs one step's group simulation and merge.
 ///
-/// Returns `(ngroups, scratch_bytes, events_amortized)`.
+/// Returns `(scratch_bytes, events_amortized)`.
 ///
 /// The merge walks outcomes **in group order**, and lane order within a
-/// group is fault order, so `detected` and every report field except
-/// `gate_evals` come out identical at every lane width;
+/// group is fault order, so `detected` comes out in fault order;
 /// `po_detections` is additionally sorted into `(fault, po)` order because
-/// its emission order (output-major within each group) genuinely depends on
-/// how faults were grouped.
+/// it is emitted output-major within each group.
 #[allow(clippy::too_many_arguments)]
-fn run_engine<P: PackedValue>(
+fn run_engine(
     circuit: &Circuit,
     good: &GoodSim,
     faults: &FaultList,
@@ -889,11 +778,11 @@ fn run_engine<P: PackedValue>(
     empty_ff: &FaultyFfState,
     targets: &[FaultId],
     probe: Option<&SpanHandle>,
-    engine: &mut EngineState<P>,
+    engine: &mut Engine,
     report: &mut StepReport,
     detected: &mut Vec<FaultId>,
-) -> (u64, u64, u64) {
-    let ngroups = targets.len().div_ceil(P::LANES);
+) -> (u64, u64) {
+    let ngroups = targets.len().div_ceil(Pv64::LANES);
     if engine.outcomes.len() < ngroups {
         engine.outcomes.resize_with(ngroups, GroupOutcome::default);
     }
@@ -904,17 +793,16 @@ fn run_engine<P: PackedValue>(
         faulty_ff: faulty_ff.as_slice(),
         empty_ff,
     };
-    for (group, out) in targets.chunks(P::LANES).zip(engine.outcomes.iter_mut()) {
+    for (group, out) in targets.chunks(Pv64::LANES).zip(engine.outcomes.iter_mut()) {
         simulate_group(&ctx, group, &mut engine.scratch, out);
     }
 
     // Merge outcomes back **in group order**. The merge is the only place
-    // simulator state is written, so the result is identical at every
-    // width, however the groups were packed.
+    // simulator state is written.
     let merge_span = probe.map(|p| p.enter(SpanKind::Merge));
     let mut scratch_bytes = 0u64;
     let mut events_amortized = 0u64;
-    for (gi, group) in targets.chunks(P::LANES).enumerate() {
+    for (gi, group) in targets.chunks(Pv64::LANES).enumerate() {
         let out = &mut engine.outcomes[gi];
         report.gate_evals += out.gate_evals;
         report.faulty_events += out.faulty_events;
@@ -925,8 +813,7 @@ fn run_engine<P: PackedValue>(
         for &(lane, po) in &out.po_detections {
             report.po_detections.push((group[lane as usize], po));
         }
-        out.detected_mask
-            .for_each(|lane| detected.push(group[lane]));
+        for_each_lane(out.detected_mask, |lane| detected.push(group[lane]));
         for (lane, &fid) in group.iter().enumerate() {
             if let Some(entry) = out.new_ff[lane].take() {
                 let idx = fid.index();
@@ -938,18 +825,18 @@ fn run_engine<P: PackedValue>(
     }
     report.po_detections.sort_unstable();
     drop(merge_span);
-    (ngroups as u64, scratch_bytes, events_amortized)
+    (scratch_bytes, events_amortized)
 }
 
-/// Runs a whole commit window's group replay and per-frame merge on a
-/// width-concrete engine. The win over per-vector steps is the
-/// frame-to-frame faulty-FF carry inside the arena.
+/// Runs a whole commit window's group replay and per-frame merge. The win
+/// over per-vector steps is the frame-to-frame faulty-FF carry inside the
+/// arena.
 ///
-/// Returns `(ngroups, scratch_bytes, events_amortized)`. The merge is the
+/// Returns `(scratch_bytes, events_amortized)`. The merge is the
 /// same walk as [`run_engine`]'s, once per frame: groups in group order,
 /// lanes in fault order, `po_detections` sorted per frame.
 #[allow(clippy::too_many_arguments)]
-fn run_engine_window<P: PackedValue>(
+fn run_engine_window(
     circuit: &Arc<Circuit>,
     good: &GoodSim,
     faults: &FaultList,
@@ -958,11 +845,10 @@ fn run_engine_window<P: PackedValue>(
     empty_ff: &FaultyFfState,
     targets: &[FaultId],
     frames: &[GoodFrame<'_>],
-    engine: &mut EngineState<P>,
+    engine: &mut Engine,
     reports: &mut [StepReport],
     detected: &mut [Vec<FaultId>],
-) -> (u64, u64, u64) {
-    let ngroups = targets.len().div_ceil(P::LANES);
+) -> (u64, u64) {
     if engine.outcomes.len() < frames.len() {
         engine
             .outcomes
@@ -970,7 +856,7 @@ fn run_engine_window<P: PackedValue>(
     }
     let mut scratch_bytes = 0u64;
     let mut events_amortized = 0u64;
-    for group in targets.chunks(P::LANES) {
+    for group in targets.chunks(Pv64::LANES) {
         {
             // Rebuilt per group: the faulty-FF table is borrowed shared
             // during simulation and mutated by the merge just below.
@@ -1000,8 +886,7 @@ fn run_engine_window<P: PackedValue>(
             for &(lane, po) in &out.po_detections {
                 report.po_detections.push((group[lane as usize], po));
             }
-            out.detected_mask
-                .for_each(|lane| detected[f].push(group[lane]));
+            for_each_lane(out.detected_mask, |lane| detected[f].push(group[lane]));
             // Only the window's last frame carries new faulty-FF state
             // (earlier frames leave `new_ff` empty, so the zip skips them;
             // lanes detected mid-window carry none at all).
@@ -1018,7 +903,7 @@ fn run_engine_window<P: PackedValue>(
     for report in reports.iter_mut() {
         report.po_detections.sort_unstable();
     }
-    (ngroups as u64, scratch_bytes, events_amortized)
+    (scratch_bytes, events_amortized)
 }
 
 #[cfg(test)]
@@ -1432,109 +1317,43 @@ mod tests {
         assert_eq!(sim.remaining(), sim.fault_list().len());
     }
 
-    /// Normalizes the one legitimately width-dependent report field so
-    /// cross-backend assertions compare everything else bit-for-bit.
+    /// Normalizes the one report field that counts batched work, so
+    /// window-vs-serial assertions compare everything else bit-for-bit.
     fn without_gate_evals(mut r: StepReport) -> StepReport {
         r.gate_evals = 0;
         r
     }
 
     #[test]
-    fn wide_backend_matches_scalar_bit_for_bit() {
-        // Full fault list on s298 → several 64-fault groups collapse into
-        // few 256-lane groups; every report field except gate_evals and the
-        // sparse faulty-FF state must be identical.
-        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
-        let faults = FaultList::full(&circuit);
-        let mut narrow = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
-        let mut wide = FaultSim::with_faults(Arc::clone(&circuit), faults);
-        wide.set_backend(SimBackend::Wide256);
-        assert_eq!(wide.backend(), SimBackend::Wide256);
-        for v in prng_sequence(circuit.num_inputs(), 48, 41) {
-            let a = narrow.step(&v);
-            let b = wide.step(&v);
-            assert_eq!(without_gate_evals(a), without_gate_evals(b));
-        }
-        assert_eq!(narrow.detected_count(), wide.detected_count());
-        for &f in narrow.active_faults() {
-            assert_eq!(narrow.faulty_ff_state(f), wide.faulty_ff_state(f));
-        }
-    }
-
-    #[test]
-    fn backend_can_switch_mid_run_without_diverging() {
-        // The backend is an execution detail: flipping it between steps
-        // must leave the fault-detection trajectory untouched.
-        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
-        let faults = FaultList::full(&circuit);
-        let mut reference = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
-        let mut switching = FaultSim::with_faults(Arc::clone(&circuit), faults);
-        for (i, v) in prng_sequence(circuit.num_inputs(), 24, 77)
-            .iter()
-            .enumerate()
-        {
-            switching.set_backend(match i % 3 {
-                0 => SimBackend::Scalar64,
-                1 => SimBackend::Wide256,
-                _ => SimBackend::Auto,
-            });
-            let a = reference.step(v);
-            let b = switching.step(v);
-            assert_eq!(without_gate_evals(a), without_gate_evals(b));
-        }
-        assert_eq!(reference.detected_count(), switching.detected_count());
-        assert_eq!(reference.export_state(), switching.export_state());
-    }
-
-    #[test]
-    fn auto_backend_resolves_to_wide() {
-        let circuit = s27();
-        let mut sim = FaultSim::new(circuit);
-        sim.set_backend(SimBackend::Auto);
-        assert_eq!(sim.backend(), SimBackend::Auto);
-        assert_eq!(sim.backend().resolved(), SimBackend::Wide256);
-        // Clones inherit the backend setting.
-        assert_eq!(sim.clone().backend(), SimBackend::Auto);
-    }
-
-    #[test]
     fn step_window_matches_serial_steps_bit_for_bit() {
         // The batched commit path must reproduce serial stepping exactly —
         // same per-vector reports (minus gate_evals), same detection
-        // vector indices, same final state — at every backend width and
-        // for windows of mixed sizes (including single-frame windows).
+        // vector indices, same final state — for windows of mixed sizes
+        // (including single-frame windows) over several fault groups.
         let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
         let faults = FaultList::full(&circuit);
         let seq = prng_sequence(circuit.num_inputs(), 36, 61);
-        for backend in [SimBackend::Scalar64, SimBackend::Wide256] {
-            let mut serial = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
-            let mut windowed = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
-            serial.set_backend(backend);
-            windowed.set_backend(backend);
-            let mut serial_reports = Vec::new();
-            for v in &seq {
-                serial_reports.push(serial.step(v));
-            }
-            let mut window_reports = Vec::new();
-            for chunk in [&seq[..1], &seq[1..8], &seq[8..20], &seq[20..]] {
-                window_reports.extend(windowed.step_window(chunk));
-            }
-            assert_eq!(serial_reports.len(), window_reports.len());
-            for (i, (a, b)) in serial_reports.iter().zip(&window_reports).enumerate() {
-                assert_eq!(
-                    without_gate_evals(a.clone()),
-                    without_gate_evals(b.clone()),
-                    "{backend} vector {i}"
-                );
-            }
-            assert_eq!(
-                serial.detected_count(),
-                windowed.detected_count(),
-                "{backend}"
-            );
-            assert_eq!(serial.vectors_applied(), windowed.vectors_applied());
-            assert_eq!(serial.export_state(), windowed.export_state(), "{backend}");
+        let mut serial = FaultSim::with_faults(Arc::clone(&circuit), faults.clone());
+        let mut windowed = FaultSim::with_faults(Arc::clone(&circuit), faults);
+        let mut serial_reports = Vec::new();
+        for v in &seq {
+            serial_reports.push(serial.step(v));
         }
+        let mut window_reports = Vec::new();
+        for chunk in [&seq[..1], &seq[1..8], &seq[8..20], &seq[20..]] {
+            window_reports.extend(windowed.step_window(chunk));
+        }
+        assert_eq!(serial_reports.len(), window_reports.len());
+        for (i, (a, b)) in serial_reports.iter().zip(&window_reports).enumerate() {
+            assert_eq!(
+                without_gate_evals(a.clone()),
+                without_gate_evals(b.clone()),
+                "vector {i}"
+            );
+        }
+        assert_eq!(serial.detected_count(), windowed.detected_count());
+        assert_eq!(serial.vectors_applied(), windowed.vectors_applied());
+        assert_eq!(serial.export_state(), windowed.export_state());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-group fault propagation over a reusable scratch arena.
 //!
 //! [`FaultSim::step`](crate::FaultSim::step) partitions the simulated fault
-//! list into groups of at most [`PackedValue::LANES`] faults. Given the
+//! list into groups of at most 64 faults, one per packed lane. Given the
 //! already-advanced good machine, every group is independent: it reads the
 //! shared circuit, good values, and per-fault sparse flip-flop state, and
 //! writes only its own lanes. This module factors the per-group propagation
@@ -10,21 +10,17 @@
 //! step and the batched commit window run the exact same code.
 //!
 //! Results land in a [`GroupOutcome`] instead of being applied in place;
-//! the caller merges outcomes back **in group order**, which makes every
-//! lane width bit-identical to `Pv64` execution: lane order within a group
-//! is fault order, and group order is ascending fault order, so the
-//! concatenated per-lane results are the same sequence no matter how many
-//! lanes one group carries.
+//! the caller merges outcomes back **in group order**: lane order within a
+//! group is fault order, and group order is ascending fault order, so the
+//! concatenated per-lane results come out in fault order.
 //!
 //! The arena also removes the per-group/per-gate allocations the original
 //! inline implementation paid: `HashMap` forcing tables are replaced with
 //! slices sorted by net plus stamped `(start, end)` range tables, the
 //! per-gate fanin `Vec` with one reusable buffer, and the per-group
 //! faulty-FF state builders with per-lane persistent vectors. Faulty net
-//! values live in structure-of-arrays form — one flat `zero` plane array
-//! and one flat `one` plane array, `P::WORDS` words per net — so a wide
-//! backend's plane arithmetic runs over contiguous words the compiler can
-//! keep in vector registers.
+//! values live in structure-of-arrays form: one flat `zero` plane array
+//! and one flat `one` plane array, one word per net.
 //!
 //! Scheduling runs entirely on the levelized CSR
 //! ([`Levelization::comb_fanout`]): fanout edges carry their consumer's
@@ -43,7 +39,7 @@ use gatest_netlist::{Circuit, NetId};
 use crate::eval::eval_packed;
 use crate::fault::{FaultId, FaultList, FaultSite};
 use crate::good_sim::GoodSim;
-use crate::value::{LaneMask, Logic, PackedValue};
+use crate::value::{for_each_lane, low_lanes, Logic, Pv64};
 
 /// Sparse faulty flip-flop state for one fault: `(dff index, faulty value)`
 /// wherever the faulty machine differs from the good machine. `Arc`-shared
@@ -87,9 +83,9 @@ pub(crate) struct GoodFrame<'a> {
 /// reused across steps: [`GroupOutcome::reset`] clears the vectors without
 /// releasing their capacity.
 #[derive(Debug, Default, Clone)]
-pub(crate) struct GroupOutcome<P: PackedValue> {
+pub(crate) struct GroupOutcome {
     /// Lanes detected at any primary output this frame.
-    pub detected_mask: P::Mask,
+    pub detected_mask: u64,
     /// `(lane, po index)` detection syndrome, in primary-output order.
     pub po_detections: Vec<(u32, u16)>,
     /// Fault effects latched into flip-flops, as (fault, flip-flop) pairs.
@@ -114,10 +110,10 @@ pub(crate) struct GroupOutcome<P: PackedValue> {
     pub new_ff: Vec<Option<FaultyFfState>>,
 }
 
-impl<P: PackedValue> GroupOutcome<P> {
+impl GroupOutcome {
     /// Clears the outcome for reuse, keeping vector capacity.
     fn reset(&mut self) {
-        self.detected_mask = P::Mask::EMPTY;
+        self.detected_mask = 0;
         self.po_detections.clear();
         self.ff_effect_pairs = 0;
         self.ff_effect_faults = 0;
@@ -138,9 +134,9 @@ impl<P: PackedValue> GroupOutcome<P> {
 /// values, the forcing-range tables, and the scheduling guard between
 /// groups costs one integer increment instead of a sweep.
 #[derive(Debug, Clone)]
-pub(crate) struct Scratch<P: PackedValue> {
-    /// Zero plane of the faulty value per net (structure-of-arrays:
-    /// `P::WORDS` contiguous words per net), valid where `fstamp` matches.
+pub(crate) struct Scratch {
+    /// Zero plane of the faulty value per net (structure-of-arrays), valid
+    /// where `fstamp` matches.
     fzero: Vec<u64>,
     /// One plane of the faulty value per net (same layout as `fzero`).
     fone: Vec<u64>,
@@ -173,7 +169,7 @@ pub(crate) struct Scratch<P: PackedValue> {
     /// Sort buffer for branch faults: `(gate, pin, lane, stuck)`.
     branch_tmp: Vec<(NetId, u16, u32, Logic)>,
     /// Reusable gate fanin buffer (fanin is small and bounded).
-    fanin: Vec<P>,
+    fanin: Vec<Pv64>,
     /// Per-lane faulty-FF state builders, reused across groups.
     new_state: Vec<Vec<(u32, Logic)>>,
     /// Per-lane carry of the previous frame's faulty-FF state, used by the
@@ -182,13 +178,13 @@ pub(crate) struct Scratch<P: PackedValue> {
     carry_state: Vec<Vec<(u32, Logic)>>,
 }
 
-impl<P: PackedValue> Scratch<P> {
+impl Scratch {
     /// An arena sized for `circuit` (combinational depth `max_level`).
     pub(crate) fn new(circuit: &Circuit, max_level: usize) -> Self {
         let n = circuit.num_gates();
         Scratch {
-            fzero: vec![0; n * P::WORDS],
-            fone: vec![0; n * P::WORDS],
+            fzero: vec![0; n],
+            fone: vec![0; n],
             fstamp: vec![0; n],
             stamp: 0,
             queued: vec![0; n],
@@ -204,8 +200,8 @@ impl<P: PackedValue> Scratch<P> {
             stem_tmp: Vec::new(),
             branch_tmp: Vec::new(),
             fanin: Vec::new(),
-            new_state: vec![Vec::new(); P::LANES],
-            carry_state: vec![Vec::new(); P::LANES],
+            new_state: vec![Vec::new(); Pv64::LANES],
+            carry_state: vec![Vec::new(); Pv64::LANES],
         }
     }
 
@@ -220,22 +216,24 @@ impl<P: PackedValue> Scratch<P> {
     /// The faulty word of `net` for the current group, defaulting to the
     /// broadcast good value (`values[net]`) if the net has not diverged.
     #[inline]
-    fn effective(&self, values: &[Logic], net: NetId) -> P {
+    fn effective(&self, values: &[Logic], net: NetId) -> Pv64 {
         let i = net.index();
         if self.fstamp[i] == self.stamp {
-            let at = i * P::WORDS;
-            P::load_planes(&self.fzero[at..], &self.fone[at..])
+            Pv64 {
+                zero: self.fzero[i],
+                one: self.fone[i],
+            }
         } else {
-            P::broadcast(values[i])
+            Pv64::broadcast(values[i])
         }
     }
 
     /// Records `w` as the faulty word of `net` for the current group.
     #[inline]
-    fn record(&mut self, net: NetId, w: P) {
+    fn record(&mut self, net: NetId, w: Pv64) {
         let i = net.index();
-        let at = i * P::WORDS;
-        w.store_planes(&mut self.fzero[at..], &mut self.fone[at..]);
+        self.fzero[i] = w.zero;
+        self.fone[i] = w.one;
         self.fstamp[i] = self.stamp;
     }
 
@@ -290,11 +288,7 @@ impl<P: PackedValue> Scratch<P> {
 /// net is ascending lane order (forced by the sort key), which matches the
 /// insertion order the old HashMap tables had. Returns the estimated
 /// scratch bytes served.
-fn publish_forcing<P: PackedValue>(
-    faults: &FaultList,
-    group: &[FaultId],
-    scratch: &mut Scratch<P>,
-) -> u64 {
+fn publish_forcing(faults: &FaultList, group: &[FaultId], scratch: &mut Scratch) -> u64 {
     let stamp = scratch.stamp;
     scratch.stem_tmp.clear();
     scratch.branch_tmp.clear();
@@ -355,15 +349,15 @@ fn publish_forcing<P: PackedValue>(
 /// live lane.) The single-frame path passes all group lanes live, which
 /// reproduces the ungated behaviour bit for bit.
 #[allow(clippy::too_many_arguments)]
-fn run_frame<'a, P: PackedValue>(
+fn run_frame<'a>(
     circuit: &Circuit,
     lev: &Levelization,
     frame: GoodFrame<'_>,
     seeds: impl Fn(usize) -> &'a [(u32, Logic)],
     group_len: usize,
-    live: P::Mask,
-    scratch: &mut Scratch<P>,
-    out: &mut GroupOutcome<P>,
+    live: u64,
+    scratch: &mut Scratch,
+    out: &mut GroupOutcome,
 ) {
     let values = frame.values;
     let mut reused = 0u64;
@@ -375,7 +369,7 @@ fn run_frame<'a, P: PackedValue>(
             let ff = circuit.dffs()[dff_idx as usize];
             let word = scratch.effective(values, ff);
             let mut w = word;
-            w.set_lane(lane, v);
+            w.set(lane as u32, v);
             if w != word {
                 scratch.record(ff, w);
                 scratch.schedule_fanout(lev, ff);
@@ -393,7 +387,7 @@ fn run_frame<'a, P: PackedValue>(
         let mut w = word;
         while i < scratch.stem_tmp.len() && scratch.stem_tmp[i].0 == net {
             let (_, lane, stuck) = scratch.stem_tmp[i];
-            w.set_lane(lane as usize, stuck);
+            w.set(lane, stuck);
             i += 1;
         }
         // Record the forced word even when it equals the good value this
@@ -434,17 +428,17 @@ fn run_frame<'a, P: PackedValue>(
             for &src in lev.comb_fanin(gate) {
                 fanin.push(scratch.effective(values, src));
             }
-            reused += (fanin.len() * std::mem::size_of::<P>()) as u64;
+            reused += (fanin.len() * std::mem::size_of::<Pv64>()) as u64;
             for &(pin, lane, stuck) in scratch.branch_forces(gate) {
-                fanin[pin as usize].set_lane(lane as usize, stuck);
+                fanin[pin as usize].set(lane, stuck);
             }
             let mut word = eval_packed(kind, &fanin);
             for &(lane, stuck) in scratch.stem_forces(gate) {
-                word.set_lane(lane as usize, stuck);
+                word.set(lane, stuck);
             }
             let old = scratch.effective(values, gate);
             if word != old {
-                let diff_lanes = u64::from(word.any_diff(old).and(live).count());
+                let diff_lanes = u64::from((word.any_diff(old) & live).count_ones());
                 out.faulty_events += diff_lanes;
                 // Every diverged lane beyond the first rode this one packed
                 // evaluation: that is the scheduling work the shared
@@ -465,11 +459,13 @@ fn run_frame<'a, P: PackedValue>(
     // Detection at primary outputs: strict binary difference. The
     // per-output masks double as the diagnosis syndrome.
     for (po_idx, &po) in circuit.outputs().iter().enumerate() {
-        let goodw = P::broadcast(values[po.index()]);
+        let goodw = Pv64::broadcast(values[po.index()]);
         let faultyw = scratch.effective(values, po);
-        let mask = faultyw.binary_diff(goodw).and(live);
-        out.detected_mask = out.detected_mask.or(mask);
-        mask.for_each(|lane| out.po_detections.push((lane as u32, po_idx as u16)));
+        let mask = faultyw.binary_diff(goodw) & live;
+        out.detected_mask |= mask;
+        for_each_lane(mask, |lane| {
+            out.po_detections.push((lane as u32, po_idx as u16))
+        });
     }
 
     // Fault effects at flip-flops: compare faulty D values against the
@@ -483,12 +479,12 @@ fn run_frame<'a, P: PackedValue>(
         let mut faultyw = scratch.effective(values, d);
         for &(pin, lane, stuck) in scratch.branch_forces(ff) {
             debug_assert_eq!(pin, 0);
-            faultyw.set_lane(lane as usize, stuck);
+            faultyw.set(lane, stuck);
         }
-        let goodw = P::broadcast(frame.next_state[dff_idx]);
-        let diff = faultyw.any_diff(goodw).and(live);
-        diff.for_each(|lane| {
-            scratch.new_state[lane].push((dff_idx as u32, faultyw.get_lane(lane)));
+        let goodw = Pv64::broadcast(frame.next_state[dff_idx]);
+        let diff = faultyw.any_diff(goodw) & live;
+        for_each_lane(diff, |lane| {
+            scratch.new_state[lane].push((dff_idx as u32, faultyw.get(lane as u32)));
         });
     }
     for state in scratch.new_state[..group_len].iter() {
@@ -503,16 +499,16 @@ fn run_frame<'a, P: PackedValue>(
 
 /// Materializes `scratch.new_state` into per-lane replacement faulty-FF
 /// state, comparing against the pre-step shared table to skip no-op writes.
-fn materialize_new_ff<P: PackedValue>(
+fn materialize_new_ff(
     ctx: &GroupCtx<'_>,
     group: &[FaultId],
-    keep: P::Mask,
-    scratch: &Scratch<P>,
-    out: &mut GroupOutcome<P>,
+    keep: u64,
+    scratch: &Scratch,
+    out: &mut GroupOutcome,
 ) {
     let mut reused = 0u64;
     for (lane, &fid) in group.iter().enumerate() {
-        if !keep.test(lane) {
+        if keep >> lane & 1 == 0 {
             // Dropped mid-window: the caller's drop logic clears the state.
             out.new_ff.push(None);
             continue;
@@ -531,24 +527,24 @@ fn materialize_new_ff<P: PackedValue>(
     out.scratch_bytes += reused;
 }
 
-/// Simulates one group of at most `P::LANES` faults against the
+/// Simulates one group of at most 64 faults against the
 /// already-advanced good machine, writing everything it learns into `out`.
 ///
 /// Groups are order-independent: a group reads only the previous frame's
 /// faulty-FF state for its own faults and the (frozen) good machine, so
 /// calling this from concurrent workers with private `scratch`/`out` gives
 /// the same outcomes as a serial loop.
-pub(crate) fn simulate_group<P: PackedValue>(
+pub(crate) fn simulate_group(
     ctx: &GroupCtx<'_>,
     group: &[FaultId],
-    scratch: &mut Scratch<P>,
-    out: &mut GroupOutcome<P>,
+    scratch: &mut Scratch,
+    out: &mut GroupOutcome,
 ) {
-    debug_assert!(group.len() <= P::LANES);
+    debug_assert!(group.len() <= Pv64::LANES);
     out.reset();
     scratch.begin_frame();
     out.scratch_bytes += publish_forcing(ctx.faults, group, scratch);
-    let live = P::Mask::low(group.len());
+    let live = low_lanes(group.len());
     run_frame(
         ctx.circuit,
         ctx.good.levelization(),
@@ -579,18 +575,18 @@ pub(crate) fn simulate_group<P: PackedValue>(
 ///
 /// Every per-frame outcome is bit-identical to what `simulate_group` would
 /// have produced step by step — except `gate_evals`/`scratch_bytes`, which
-/// (as with lane widths) depend on how the work was batched.
-pub(crate) fn simulate_group_window<P: PackedValue>(
+/// depend on how the work was batched.
+pub(crate) fn simulate_group_window(
     ctx: &GroupCtx<'_>,
     frames: &[GoodFrame<'_>],
     group: &[FaultId],
-    scratch: &mut Scratch<P>,
-    outs: &mut [GroupOutcome<P>],
+    scratch: &mut Scratch,
+    outs: &mut [GroupOutcome],
 ) {
-    debug_assert!(group.len() <= P::LANES);
+    debug_assert!(group.len() <= Pv64::LANES);
     debug_assert_eq!(frames.len(), outs.len());
     let lev = ctx.good.levelization();
-    let mut live = P::Mask::low(group.len());
+    let mut live = low_lanes(group.len());
     let mut carry = std::mem::take(&mut scratch.carry_state);
     for (f, (frame, out)) in frames.iter().zip(outs.iter_mut()).enumerate() {
         out.reset();
@@ -617,7 +613,7 @@ pub(crate) fn simulate_group_window<P: PackedValue>(
                 lev,
                 *frame,
                 |lane| {
-                    if live.test(lane) {
+                    if live >> lane & 1 != 0 {
                         carry_ref[lane].as_slice()
                     } else {
                         &[]
@@ -629,7 +625,7 @@ pub(crate) fn simulate_group_window<P: PackedValue>(
                 out,
             );
         }
-        live = live.and(out.detected_mask.invert());
+        live &= !out.detected_mask;
     }
     if let Some(last) = outs.last_mut() {
         materialize_new_ff(ctx, group, live, scratch, last);

@@ -5,15 +5,11 @@
 //!
 //! The crate is layered:
 //!
-//! * [`value`] — scalar [`Logic`] (0/1/X) and the width-generic
-//!   [`PackedValue`] backends used for bit-parallel fault propagation:
-//!   the 64-lane [`Pv64`] and the 256-lane [`Pv256`] (autovectorized, with
-//!   an AVX2 fast path dispatched at runtime). [`SimBackend`] selects
-//!   `scalar64`, `wide256` or `auto` (which resolves to `wide256`);
-//!   results are bit-identical across widths. No wider word is offered:
-//!   without 512-bit registers at the crate's MSRV, an eight-word plane
-//!   measured 1.46× scalar on s298 and 1.02× on s1423, behind [`Pv256`]'s
-//!   1.55× and 1.13× (DESIGN.md §14).
+//! * [`value`] — scalar [`Logic`] (0/1/X) and the packed [`Pv64`] used for
+//!   bit-parallel fault propagation: 64 faults (or patterns) per word, two
+//!   bit planes, bare `u64` lane masks. It is the only packed width: a
+//!   four-word plane won only on small circuits and only when asked for,
+//!   so it was removed (DESIGN.md §14).
 //! * [`eval`] — gate evaluation over both representations.
 //! * [`fault`] — the single stuck-at fault universe and equivalence
 //!   collapsing ([`FaultList`]).
@@ -79,7 +75,7 @@ pub use fsim::{Checkpoint, FaultSim, SimState, SimStateError, StepReport};
 pub use good_sim::{GoodSim, GoodSimState, GoodStepReport};
 pub use packed_good::PackedGoodSim;
 pub use transition::{Slow, TransitionFault, TransitionFaultSim};
-pub use value::{LaneMask, Logic, Mask256, PackedValue, Pv256, Pv64, SimBackend};
+pub use value::{Logic, Pv64};
 
 // The frozen benchmark harness in `perfbench/` still names these; they
 // forward to the one fault simulator and carry no behavior of their own.
@@ -98,6 +94,38 @@ impl FaultSim {
 
     #[doc(hidden)]
     pub fn set_sim_threads(&mut self, _: usize) {}
+
+    #[doc(hidden)]
+    pub fn set_backend(&mut self, _: SimBackend) {}
+
+    #[doc(hidden)]
+    pub fn backend(&self) -> SimBackend {
+        SimBackend::Scalar64
+    }
+}
+
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum SimBackend {
+    #[default]
+    Scalar64,
+}
+
+impl SimBackend {
+    #[doc(hidden)]
+    pub fn resolved(self) -> Self {
+        self
+    }
+
+    #[doc(hidden)]
+    pub fn name(self) -> &'static str {
+        "scalar64"
+    }
+
+    #[doc(hidden)]
+    pub fn lanes(self) -> usize {
+        Pv64::LANES
+    }
 }
 
 /// The s27 circuit for intra-crate tests.

@@ -3,19 +3,16 @@
 //! Phase 1 of GATEST (flip-flop initialization) scores candidates purely on
 //! good-machine behaviour — no fault simulation. That makes it a perfect fit
 //! for the packed representation already used for faulty machines: instead
-//! of simulating one candidate vector per good-machine pass, pack
-//! `P::LANES` candidate vectors into the bit lanes of each net's packed
-//! word and evaluate a whole population chunk in ⌈pop/`P::LANES`⌉ passes.
-//! The width is generic ([`PackedValue`]), defaulting to [`Pv64`]; the
-//! generator picks the lane count matching the configured
-//! [`SimBackend`](crate::SimBackend).
+//! of simulating one candidate vector per good-machine pass, pack 64
+//! candidate vectors into the bit lanes of each net's [`Pv64`] word and
+//! evaluate a whole population chunk in ⌈pop/64⌉ passes.
 //!
 //! [`PackedGoodSim`] mirrors [`GoodSim::apply`] exactly — same latch order,
 //! same level-order sweep, same next-state rule — but on packed words via
 //! [`eval_packed`]. Because packed evaluation is lane-wise identical to
-//! `eval_scalar` (exhaustively tested for every backend in `value.rs`), the
-//! per-lane flip-flop statistics it reports are bit-identical to running
-//! `P::LANES` scalar [`GoodSim`]s. Events are *not* tracked (phase-1
+//! `eval_scalar` (exhaustively tested in `value.rs`), the per-lane
+//! flip-flop statistics it reports are bit-identical to running 64 scalar
+//! [`GoodSim`]s. Events are *not* tracked (phase-1
 //! fitness never reads them), so [`PackedGoodSim::phase1_stats`] reports
 //! `events: 0`.
 
@@ -26,23 +23,23 @@ use gatest_netlist::Circuit;
 
 use crate::eval::eval_packed;
 use crate::good_sim::{GoodSim, GoodStepReport};
-use crate::value::{LaneMask, PackedValue, Pv64};
+use crate::value::Pv64;
 
-/// A good-circuit simulator evaluating `P::LANES` independent candidate
-/// streams at once, one per bit lane.
+/// A good-circuit simulator evaluating 64 independent candidate streams at
+/// once, one per bit lane.
 #[derive(Debug, Clone)]
-pub struct PackedGoodSim<P: PackedValue = Pv64> {
+pub struct PackedGoodSim {
     circuit: Arc<Circuit>,
     lev: Levelization,
     /// Current value of every net, one lane per candidate.
-    values: Vec<P>,
+    values: Vec<Pv64>,
     /// Next flip-flop state, indexed like `circuit.dffs()`.
-    next_state: Vec<P>,
+    next_state: Vec<Pv64>,
     /// Scratch fanin buffer reused across gates.
-    fanin_buf: Vec<P>,
+    fanin_buf: Vec<Pv64>,
 }
 
-impl<P: PackedValue> PackedGoodSim<P> {
+impl PackedGoodSim {
     /// Creates a packed simulator with all nets and flip-flops at X.
     pub fn new(circuit: Arc<Circuit>) -> Self {
         let lev = Levelization::new(&circuit);
@@ -51,8 +48,8 @@ impl<P: PackedValue> PackedGoodSim<P> {
         PackedGoodSim {
             circuit,
             lev,
-            values: vec![P::ALL_X; n],
-            next_state: vec![P::ALL_X; nffs],
+            values: vec![Pv64::ALL_X; n],
+            next_state: vec![Pv64::ALL_X; nffs],
             fanin_buf: Vec::with_capacity(8),
         }
     }
@@ -60,11 +57,6 @@ impl<P: PackedValue> PackedGoodSim<P> {
     /// The circuit being simulated.
     pub fn circuit(&self) -> &Arc<Circuit> {
         &self.circuit
-    }
-
-    /// Candidate lanes per packed word (`P::LANES`).
-    pub fn lanes(&self) -> usize {
-        P::LANES
     }
 
     /// Broadcasts a scalar [`GoodSim`]'s current state into all lanes,
@@ -80,10 +72,10 @@ impl<P: PackedValue> PackedGoodSim<P> {
             "seed source must simulate the same circuit"
         );
         for id in self.circuit.net_ids() {
-            self.values[id.index()] = P::broadcast(good.value(id));
+            self.values[id.index()] = Pv64::broadcast(good.value(id));
         }
         for i in 0..self.circuit.num_dffs() {
-            self.next_state[i] = P::broadcast(good.next_state_of(i));
+            self.next_state[i] = Pv64::broadcast(good.next_state_of(i));
         }
     }
 
@@ -96,7 +88,7 @@ impl<P: PackedValue> PackedGoodSim<P> {
     /// # Panics
     ///
     /// Panics if `pi_words.len() != circuit.num_inputs()`.
-    pub fn apply(&mut self, pi_words: &[P]) {
+    pub fn apply(&mut self, pi_words: &[Pv64]) {
         assert_eq!(
             pi_words.len(),
             self.circuit.num_inputs(),
@@ -137,7 +129,7 @@ impl<P: PackedValue> PackedGoodSim<P> {
     /// are exactly the numbers [`GoodSim::apply`] reports, except `events`
     /// is always 0 (untracked — phase-1 fitness ignores it).
     pub fn phase1_stats(&self, lanes: usize) -> Vec<GoodStepReport> {
-        assert!(lanes <= P::LANES, "at most P::LANES lanes per packed word");
+        assert!(lanes <= Pv64::LANES, "at most 64 lanes per packed word");
         let mut out = vec![GoodStepReport::default(); lanes];
         for (i, &ff) in self.circuit.dffs().iter().enumerate() {
             let dw = self.next_state[i];
@@ -145,8 +137,8 @@ impl<P: PackedValue> PackedGoodSim<P> {
             let known = dw.known_mask();
             let changed = dw.any_diff(qw);
             for (lane, report) in out.iter_mut().enumerate() {
-                report.ffs_set += usize::from(known.test(lane));
-                report.ffs_changed += usize::from(changed.test(lane));
+                report.ffs_set += (known >> lane & 1) as usize;
+                report.ffs_changed += (changed >> lane & 1) as usize;
             }
         }
         out
@@ -156,7 +148,7 @@ impl<P: PackedValue> PackedGoodSim<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{Logic, Pv256};
+    use crate::value::Logic;
     use gatest_netlist::benchmarks::iscas89;
 
     /// Deterministic pseudo-random bit source (xorshift).
@@ -170,9 +162,9 @@ mod tests {
         }
     }
 
-    /// Packed stats for `P::LANES` random candidates must equal as many
-    /// scalar GoodSim runs from the same seeded state, frame by frame.
-    fn packed_matches_scalar<P: PackedValue>(name: &str, seed: u64) {
+    /// Packed stats for 64 random candidates must equal as many scalar
+    /// GoodSim runs from the same seeded state, frame by frame.
+    fn packed_matches_scalar(name: &str, seed: u64) {
         let circuit = Arc::new(iscas89(name).unwrap());
         let pis = circuit.num_inputs();
         let mut bits = Bits(seed);
@@ -185,22 +177,22 @@ mod tests {
         }
 
         // One random candidate vector per lane.
-        let candidates: Vec<Vec<Logic>> = (0..P::LANES)
+        let candidates: Vec<Vec<Logic>> = (0..Pv64::LANES)
             .map(|_| (0..pis).map(|_| Logic::from_bool(bits.next())).collect())
             .collect();
 
         // Packed: two-frame hold, like phase 1.
-        let mut packed = PackedGoodSim::<P>::new(Arc::clone(&circuit));
+        let mut packed = PackedGoodSim::new(Arc::clone(&circuit));
         packed.seed_from(&good);
-        let mut pi_words = vec![P::ALL_X; pis];
+        let mut pi_words = vec![Pv64::ALL_X; pis];
         for (lane, cand) in candidates.iter().enumerate() {
             for (i, &v) in cand.iter().enumerate() {
-                pi_words[i].set_lane(lane, v);
+                pi_words[i].set(lane as u32, v);
             }
         }
         packed.apply(&pi_words);
         packed.apply(&pi_words);
-        let stats = packed.phase1_stats(P::LANES);
+        let stats = packed.phase1_stats(Pv64::LANES);
 
         // Scalar reference: clone the warmed sim per candidate.
         for (lane, cand) in candidates.iter().enumerate() {
@@ -217,22 +209,12 @@ mod tests {
 
     #[test]
     fn s27_packed_matches_scalar() {
-        packed_matches_scalar::<Pv64>("s27", 0x1234_5678_9abc_def1);
+        packed_matches_scalar("s27", 0x1234_5678_9abc_def1);
     }
 
     #[test]
     fn s298_packed_matches_scalar() {
-        packed_matches_scalar::<Pv64>("s298", 0xdead_beef_cafe_f00d);
-    }
-
-    #[test]
-    fn s27_wide_packed_matches_scalar() {
-        packed_matches_scalar::<Pv256>("s27", 0x1234_5678_9abc_def1);
-    }
-
-    #[test]
-    fn s298_wide_packed_matches_scalar() {
-        packed_matches_scalar::<Pv256>("s298", 0xdead_beef_cafe_f00d);
+        packed_matches_scalar("s298", 0xdead_beef_cafe_f00d);
     }
 
     #[test]
@@ -240,7 +222,7 @@ mod tests {
         let circuit = Arc::new(iscas89("s27").unwrap());
         let mut good = GoodSim::new(Arc::clone(&circuit));
         good.apply(&[Logic::One, Logic::One, Logic::Zero, Logic::Zero]);
-        let mut packed = PackedGoodSim::<Pv64>::new(Arc::clone(&circuit));
+        let mut packed = PackedGoodSim::new(Arc::clone(&circuit));
         packed.seed_from(&good);
         for id in circuit.net_ids() {
             let word = packed.values[id.index()];
@@ -254,7 +236,7 @@ mod tests {
     #[should_panic(expected = "one packed word per primary input")]
     fn rejects_wrong_input_count() {
         let circuit = Arc::new(iscas89("s27").unwrap());
-        let mut packed = PackedGoodSim::<Pv64>::new(circuit);
+        let mut packed = PackedGoodSim::new(circuit);
         packed.apply(&[Pv64::ALL_X]);
     }
 }

@@ -7,12 +7,10 @@
 //!   combinational — e.g. full-scan — circuits allow, since patterns are
 //!   independent).
 //!
-//! The good machine is simulated once per pattern block (`P::LANES`
-//! patterns wide — 64 for [`Pv64`], 256 for [`Pv256`] via
-//! [`Ppsfp::grade_backend`]); each fault is then propagated event-driven
-//! from its injection site through the block. Because the first detecting
-//! pattern index is `block * P::LANES + lane` and lanes are filled in
-//! pattern order, results are bit-identical across backends.
+//! The good machine is simulated once per block of 64 patterns, one per
+//! [`Pv64`] lane; each fault is then propagated event-driven from its
+//! injection site through the block. The first detecting pattern index is
+//! `block * 64 + lane`, with lanes filled in pattern order.
 //!
 //! Use this to grade test sets on [`full_scan`](gatest_netlist::scan)
 //! circuits; apply [`FaultSim`](crate::fsim::FaultSim) for sequential ones.
@@ -24,7 +22,7 @@ use gatest_netlist::{Circuit, GateKind, NetId};
 
 use crate::eval::eval_packed;
 use crate::fault::{FaultList, FaultSite};
-use crate::value::{LaneMask, Logic, PackedValue, Pv256, Pv64, SimBackend};
+use crate::value::{low_lanes, Logic, Pv64};
 
 /// Error for circuits PPSFP cannot handle (sequential ones).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,55 +142,41 @@ impl Ppsfp {
     /// # }
     /// ```
     pub fn grade(&self, patterns: &[Vec<Logic>]) -> PpsfpResult {
-        self.grade_with::<Pv64>(patterns)
-    }
-
-    /// Like [`grade`](Ppsfp::grade), but packing `backend.lanes()` patterns
-    /// per block. Results are bit-identical to `grade` for any backend —
-    /// only throughput changes.
-    pub fn grade_backend(&self, patterns: &[Vec<Logic>], backend: SimBackend) -> PpsfpResult {
-        match backend.resolved() {
-            SimBackend::Scalar64 => self.grade_with::<Pv64>(patterns),
-            _ => self.grade_with::<Pv256>(patterns),
-        }
-    }
-
-    fn grade_with<P: PackedValue>(&self, patterns: &[Vec<Logic>]) -> PpsfpResult {
         let n = self.circuit.num_gates();
         let mut first_detection: Vec<Option<u32>> = vec![None; self.faults.len()];
 
-        let mut good = vec![P::ALL_X; n];
-        let mut fval = vec![P::ALL_X; n];
+        let mut good = vec![Pv64::ALL_X; n];
+        let mut fval = vec![Pv64::ALL_X; n];
         let mut fstamp = vec![0u32; n];
         let mut stamp = 0u32;
         let mut queued = vec![0u32; n];
         let mut buckets: Vec<Vec<NetId>> = vec![Vec::new(); self.lev.max_level() as usize + 1];
         // Reusable gate-fanin buffer: fanin is small and bounded, so one
         // buffer serves both the good sweep and every faulty event pass
-        // instead of a fresh `Vec<P>` per gate evaluation.
-        let mut fanin: Vec<P> = Vec::new();
+        // instead of a fresh `Vec<Pv64>` per gate evaluation.
+        let mut fanin: Vec<Pv64> = Vec::new();
 
         // Constant gates are sources, not CSR records: pin them once (they
         // never change between blocks).
         for id in self.circuit.net_ids() {
             match self.circuit.kind(id) {
-                GateKind::Const0 => good[id.index()] = P::ALL_ZERO,
-                GateKind::Const1 => good[id.index()] = P::ALL_ONE,
+                GateKind::Const0 => good[id.index()] = Pv64::ALL_ZERO,
+                GateKind::Const1 => good[id.index()] = Pv64::ALL_ONE,
                 _ => {}
             }
         }
 
-        for (block_idx, block) in patterns.chunks(P::LANES).enumerate() {
+        for (block_idx, block) in patterns.chunks(Pv64::LANES).enumerate() {
             // Good simulation of the whole block at once.
             for (i, &pi) in self.circuit.inputs().iter().enumerate() {
-                let mut w = P::ALL_X;
+                let mut w = Pv64::ALL_X;
                 for (lane, pattern) in block.iter().enumerate() {
                     assert_eq!(
                         pattern.len(),
                         self.circuit.num_inputs(),
                         "pattern length must match the input count"
                     );
-                    w.set_lane(lane, pattern[i]);
+                    w.set(lane as u32, pattern[i]);
                 }
                 good[pi.index()] = w;
             }
@@ -203,7 +187,7 @@ impl Ppsfp {
                 fanin.extend(fan.iter().map(|&s| good[s.index()]));
                 good[gate.index()] = eval_packed(kind, &fanin);
             }
-            let block_mask = P::Mask::low(block.len());
+            let block_mask = low_lanes(block.len());
 
             // One event-driven pass per still-undetected fault.
             for (fid, fault) in self.faults.iter() {
@@ -211,7 +195,7 @@ impl Ppsfp {
                     continue;
                 }
                 stamp = stamp.wrapping_add(2);
-                let forced = P::broadcast(fault.stuck);
+                let forced = Pv64::broadcast(fault.stuck);
 
                 // Inject. Fanout edges carry their consumer's level baked
                 // into the CSR, so scheduling never chases a level lookup.
@@ -219,7 +203,7 @@ impl Ppsfp {
                     FaultSite::Stem(net) => {
                         fval[net.index()] = forced;
                         fstamp[net.index()] = stamp;
-                        if forced.any_diff(good[net.index()]).and(block_mask).any() {
+                        if forced.any_diff(good[net.index()]) & block_mask != 0 {
                             for &FanoutEdge { gate, level } in self.lev.comb_fanout(net) {
                                 schedule(&mut buckets, &mut queued, stamp, gate, level);
                             }
@@ -274,18 +258,19 @@ impl Ppsfp {
                 }
 
                 // Detect.
-                let mut det = P::Mask::EMPTY;
+                let mut det = 0u64;
                 for &po in self.circuit.outputs() {
                     let f = if fstamp[po.index()] == stamp {
                         fval[po.index()]
                     } else {
                         good[po.index()]
                     };
-                    det = det.or(f.binary_diff(good[po.index()]));
+                    det |= f.binary_diff(good[po.index()]);
                 }
-                det = det.and(block_mask);
-                if let Some(lane) = det.first() {
-                    first_detection[fid.index()] = Some((block_idx * P::LANES + lane) as u32);
+                det &= block_mask;
+                if det != 0 {
+                    let lane = det.trailing_zeros() as usize;
+                    first_detection[fid.index()] = Some((block_idx * Pv64::LANES + lane) as u32);
                 }
             }
         }
@@ -387,25 +372,6 @@ mod tests {
         let result = grader.grade(&patterns);
         for d in result.first_detection.iter().flatten() {
             assert!((*d as usize) < patterns.len());
-        }
-    }
-
-    #[test]
-    fn wide_blocks_give_identical_first_detections() {
-        // 300 patterns: two partial Pv256 blocks vs five Pv64 blocks —
-        // every fault's first detecting pattern index must agree exactly,
-        // for every backend spelling (auto resolves to wide256).
-        let comb = scanned("s386");
-        let patterns = random_patterns(comb.num_inputs(), 300, 13);
-        let grader = Ppsfp::new(Arc::clone(&comb)).unwrap();
-        let narrow = grader.grade(&patterns);
-        for backend in [SimBackend::Scalar64, SimBackend::Wide256, SimBackend::Auto] {
-            let result = grader.grade_backend(&patterns, backend);
-            assert_eq!(result.detected, narrow.detected, "{backend}");
-            assert_eq!(
-                result.first_detection, narrow.first_detection,
-                "{backend} diverged from Pv64 blocks"
-            );
         }
     }
 

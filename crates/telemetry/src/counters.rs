@@ -54,15 +54,9 @@ pub struct SimCounters {
     /// Sequence-evaluation frames not simulated thanks to prefix sharing:
     /// candidates with a common k-vector prefix pay for those frames once.
     pub prefix_frames_avoided: AtomicU64,
-    /// Fault groups simulated by a wide (more-than-64-lane) packed backend.
-    /// Zero for scalar64 runs, so old traces and narrow runs render alike.
-    pub wide_groups: AtomicU64,
-    /// Lanes per packed fault group of the wide backend (e.g. 256). A
-    /// last-write-wins gauge, not a tally: it names the backend width.
-    pub lanes_per_group: AtomicU64,
     /// Faulty-circuit events beyond the first lane of each changed packed
     /// word: lanes that rode an evaluation another lane already paid for.
-    /// Zero for scalar runs of single-lane groups; grows with lane width.
+    /// Zero for single-lane groups.
     pub events_amortized: AtomicU64,
     /// Vectors committed through the batched window path
     /// (`FaultSim::step_window`) rather than one `step` call each.
@@ -160,14 +154,6 @@ impl SimCounters {
             .fetch_add(frames, Ordering::Relaxed);
     }
 
-    /// Records fault groups simulated by a wide packed backend: `groups`
-    /// accumulates, `lanes` is stored as the backend's lane width.
-    #[inline]
-    pub fn record_backend_groups(&self, lanes: u64, groups: u64) {
-        self.wide_groups.fetch_add(groups, Ordering::Relaxed);
-        self.lanes_per_group.store(lanes, Ordering::Relaxed);
-    }
-
     /// Records faulty events that shared a packed evaluation with another
     /// lane (every lane after the first of each changed word).
     #[inline]
@@ -232,10 +218,6 @@ impl SimCounters {
             .store(snapshot.dedup_skips, Ordering::Relaxed);
         self.prefix_frames_avoided
             .store(snapshot.prefix_frames_avoided, Ordering::Relaxed);
-        self.wide_groups
-            .store(snapshot.wide_groups, Ordering::Relaxed);
-        self.lanes_per_group
-            .store(snapshot.lanes_per_group, Ordering::Relaxed);
         self.events_amortized
             .store(snapshot.events_amortized, Ordering::Relaxed);
         self.commit_batch_frames
@@ -265,8 +247,6 @@ impl SimCounters {
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             dedup_skips: self.dedup_skips.load(Ordering::Relaxed),
             prefix_frames_avoided: self.prefix_frames_avoided.load(Ordering::Relaxed),
-            wide_groups: self.wide_groups.load(Ordering::Relaxed),
-            lanes_per_group: self.lanes_per_group.load(Ordering::Relaxed),
             events_amortized: self.events_amortized.load(Ordering::Relaxed),
             commit_batch_frames: self.commit_batch_frames.load(Ordering::Relaxed),
             csr_bytes: self.csr_bytes.load(Ordering::Relaxed),
@@ -293,8 +273,6 @@ impl SimCounters {
         self.cache_misses.store(0, Ordering::Relaxed);
         self.dedup_skips.store(0, Ordering::Relaxed);
         self.prefix_frames_avoided.store(0, Ordering::Relaxed);
-        self.wide_groups.store(0, Ordering::Relaxed);
-        self.lanes_per_group.store(0, Ordering::Relaxed);
         self.events_amortized.store(0, Ordering::Relaxed);
         self.commit_batch_frames.store(0, Ordering::Relaxed);
         self.csr_bytes.store(0, Ordering::Relaxed);
@@ -339,10 +317,6 @@ pub struct CounterSnapshot {
     pub dedup_skips: u64,
     /// Sequence frames skipped by prefix-sharing evaluation.
     pub prefix_frames_avoided: u64,
-    /// Fault groups simulated by a wide (more-than-64-lane) backend.
-    pub wide_groups: u64,
-    /// Lanes per packed fault group of the wide backend (0 = scalar-only).
-    pub lanes_per_group: u64,
     /// Faulty events that shared a packed evaluation with another lane.
     pub events_amortized: u64,
     /// Vectors committed through the batched window path.
@@ -363,7 +337,7 @@ impl CounterSnapshot {
     /// order. The single source of field names for the JSON serializer and
     /// the Prometheus renderer, so adding a counter cannot silently skip a
     /// consumer.
-    pub fn fields(&self) -> [(&'static str, u64); 23] {
+    pub fn fields(&self) -> [(&'static str, u64); 21] {
         [
             ("step_calls", self.step_calls),
             ("good_only_calls", self.good_only_calls),
@@ -382,8 +356,6 @@ impl CounterSnapshot {
             ("cache_misses", self.cache_misses),
             ("dedup_skips", self.dedup_skips),
             ("prefix_frames_avoided", self.prefix_frames_avoided),
-            ("wide_groups", self.wide_groups),
-            ("lanes_per_group", self.lanes_per_group),
             ("events_amortized", self.events_amortized),
             ("commit_batch_frames", self.commit_batch_frames),
             ("csr_bytes", self.csr_bytes),
@@ -431,22 +403,6 @@ mod tests {
         assert_eq!(s.pool_tasks, 8);
         assert_eq!(s.pool_idle_ns, 2_000);
         assert_eq!(s.scratch_bytes_reused, 5_120);
-        c.reset();
-        assert_eq!(c.snapshot(), CounterSnapshot::default());
-    }
-
-    #[test]
-    fn backend_group_counters_accumulate_and_reload() {
-        let c = SimCounters::new();
-        c.record_backend_groups(256, 3);
-        c.record_backend_groups(256, 2);
-        let s = c.snapshot();
-        assert_eq!(s.wide_groups, 5, "groups tally");
-        assert_eq!(s.lanes_per_group, 256, "lane width is a gauge");
-
-        let resumed = SimCounters::new();
-        resumed.load_snapshot(&s);
-        assert_eq!(resumed.snapshot(), s);
         c.reset();
         assert_eq!(c.snapshot(), CounterSnapshot::default());
     }

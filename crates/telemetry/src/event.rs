@@ -17,10 +17,6 @@ pub enum RunEvent {
         total_faults: usize,
         /// Master random seed.
         seed: u64,
-        /// Resolved packed-simulation backend name (`scalar64`/`wide256`).
-        backend: String,
-        /// Packed lanes per fault group for that backend (64/256).
-        lanes: usize,
     },
     /// The Figure 2 phase machine entered a phase (including the first).
     PhaseEntered {

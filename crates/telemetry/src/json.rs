@@ -24,14 +24,11 @@ pub fn event_to_json(event: &RunEvent) -> String {
             circuit,
             total_faults,
             seed,
-            backend,
-            lanes,
         } => {
             let _ = write!(
                 s,
-                ",\"circuit\":{},\"total_faults\":{total_faults},\"seed\":{seed},\"backend\":{},\"lanes\":{lanes}",
-                quote(circuit),
-                quote(backend)
+                ",\"circuit\":{},\"total_faults\":{total_faults},\"seed\":{seed}",
+                quote(circuit)
             );
         }
         RunEvent::PhaseEntered { phase, vectors } => {
@@ -333,15 +330,23 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so the cap bounds its stack use: without it a
+/// request body of a few hundred thousand `[` bytes overflows the stack of
+/// the thread parsing it. Every document this workspace writes nests at
+/// most a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document.
 ///
 /// # Errors
 ///
-/// Returns a message naming the byte offset of the first syntax error.
+/// Returns a message naming the byte offset of the first syntax error, or
+/// of the first array/object nested deeper than [`MAX_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -365,11 +370,19 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -448,7 +461,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -457,7 +470,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -470,7 +483,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -482,7 +495,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         skip_ws(bytes, pos);
         let key = parse_string(bytes, pos)?;
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -508,8 +521,6 @@ mod tests {
                 circuit: String::from("s27\"quoted\""),
                 total_faults: 26,
                 seed: 42,
-                backend: String::from("wide256"),
-                lanes: 256,
             },
             RunEvent::PhaseEntered {
                 phase: 1,
@@ -567,8 +578,6 @@ mod tests {
                         cache_misses: 430,
                         dedup_skips: 37,
                         prefix_frames_avoided: 1_900,
-                        wide_groups: 12,
-                        lanes_per_group: 256,
                         events_amortized: 5_600,
                         commit_batch_frames: 24,
                         csr_bytes: 96_000,
@@ -622,8 +631,6 @@ mod tests {
         );
         assert_eq!(j.get("total_faults").and_then(Json::as_u64), Some(26));
         assert_eq!(j.get("seed").and_then(Json::as_u64), Some(42));
-        assert_eq!(j.get("backend").and_then(Json::as_str), Some("wide256"));
-        assert_eq!(j.get("lanes").and_then(Json::as_u64), Some(256));
     }
 
     #[test]
@@ -749,6 +756,31 @@ mod tests {
         assert_eq!(arr[2].get("b").and_then(Json::as_str), Some("x\nA"));
         assert_eq!(j.get("c"), Some(&Json::Null));
         assert_eq!(j.get("d"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_offset_naming_error() {
+        let nest = |open: &str, close: &str, levels: usize| {
+            format!("{}1{}", open.repeat(levels), close.repeat(levels))
+        };
+        // At the cap: parses, arrays and objects alike.
+        let deepest = nest("[", "]", MAX_DEPTH);
+        assert!(parse_json(&deepest).is_ok());
+        assert!(parse_json(&nest("{\"k\":", "}", MAX_DEPTH)).is_ok());
+        // One past the cap: a typed error naming where the excess begins.
+        let err = parse_json(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let err = parse_json(&nest("{\"k\":", "}", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {}", 5 * MAX_DEPTH)), "{err}");
+        // Far past it, unterminated, as an attacker would send it: still
+        // an error, not a stack overflow.
+        assert!(parse_json(&"[".repeat(200_000)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(100_000)).is_err());
+        // Mixed nesting counts both kinds.
+        let mixed = format!("{}1{}", "[{\"k\":".repeat(64), "}]".repeat(64));
+        assert!(parse_json(&mixed).is_ok());
+        let mixed = format!("[{}1{}]", "[{\"k\":".repeat(64), "}]".repeat(64));
+        assert!(parse_json(&mixed).is_err());
     }
 
     #[test]

@@ -88,8 +88,6 @@ mod tests {
             circuit: "s27".into(),
             total_faults: 26,
             seed: 7,
-            backend: "scalar64".into(),
-            lanes: 64,
         });
         writer.on_event(&RunEvent::PhaseEntered {
             phase: 1,

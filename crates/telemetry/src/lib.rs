@@ -29,8 +29,6 @@
 //!     circuit: "s27".into(),
 //!     total_faults: 26,
 //!     seed: 1,
-//!     backend: "scalar64".into(),
-//!     lanes: 64,
 //! });
 //! let bytes = writer.into_inner();
 //! let line = String::from_utf8(bytes).unwrap();

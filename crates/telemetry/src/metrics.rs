@@ -601,8 +601,6 @@ mod tests {
             circuit: "s27".into(),
             total_faults: 32,
             seed: 1,
-            backend: "scalar64".into(),
-            lanes: 64,
         });
         observer.on_event(&RunEvent::PhaseEntered {
             phase: 2,

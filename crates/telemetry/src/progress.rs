@@ -213,8 +213,6 @@ mod tests {
             circuit: "s27".into(),
             total_faults: 26,
             seed: 1,
-            backend: "scalar64".into(),
-            lanes: 64,
         });
         reporter.on_event(&RunEvent::PhaseEntered {
             phase: 2,
@@ -296,8 +294,6 @@ mod tests {
             circuit: "s27".into(),
             total_faults: 26,
             seed: 1,
-            backend: "scalar64".into(),
-            lanes: 64,
         });
         reporter.on_event(&RunEvent::GaGenerationEvaluated {
             phase: 2,
@@ -340,8 +336,6 @@ mod tests {
             circuit: "s27".into(),
             total_faults: 26,
             seed: 1,
-            backend: "scalar64".into(),
-            lanes: 64,
         });
         assert!(sink.lines().is_empty(), "run_started must not print");
     }

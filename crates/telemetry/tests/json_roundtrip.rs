@@ -15,6 +15,14 @@ use gatest_telemetry::{HistogramSnapshot, RunEvent, SpanNode, SpanSnapshot};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+/// A real trace: a recorded s298 run's `run_started` line and its
+/// `run_finished` line, counters and span tree included.
+const TRACE: &str = include_str!("../../../tests/data/s298_seed5_full.trace.jsonl");
+
+/// Bytes a damaged trace line plausibly carries: JSON structure, digits,
+/// literal and escape letters, and whitespace.
+const TOKEN_BYTES: &[u8] = b"{}[]:,\"\\-+.0123456789eEtrufalsn \t";
+
 /// Largest u64 that survives an f64 round trip with integral exactness.
 const MAX_SAFE: u64 = (1u64 << 53) - 1;
 
@@ -160,15 +168,11 @@ proptest! {
         circuit in text(),
         total_faults in 0usize..1_000_000,
         seed in safe_u64(),
-        backend in text(),
-        lanes in 0usize..4096,
     ) {
         let event = RunEvent::RunStarted {
             circuit: circuit.clone(),
             total_faults,
             seed,
-            backend: backend.clone(),
-            lanes,
         };
         let parsed = parse_json(&event_to_json(&event)).expect("event must parse");
         prop_assert_eq!(parsed.get("event").and_then(Json::as_str), Some("run_started"));
@@ -178,8 +182,6 @@ proptest! {
             Some(total_faults as u64)
         );
         prop_assert_eq!(parsed.get("seed").and_then(Json::as_u64), Some(seed));
-        prop_assert_eq!(parsed.get("backend").and_then(Json::as_str), Some(backend.as_str()));
-        prop_assert_eq!(parsed.get("lanes").and_then(Json::as_u64), Some(lanes as u64));
     }
 
     #[test]
@@ -210,5 +212,42 @@ proptest! {
         let parsed = parse_json(&event_to_json(&event)).expect("event must parse");
         prop_assert_eq!(parsed.get("site").and_then(Json::as_str), Some(site.as_str()));
         prop_assert_eq!(parsed.get("fault").and_then(Json::as_u64), Some(u64::from(fault)));
+    }
+}
+
+/// Every strict prefix of a real trace line is an error, and the whole
+/// line parses.
+#[test]
+fn trace_lines_truncated_at_every_byte_are_errors() {
+    for line in TRACE.lines() {
+        assert!(parse_json(line).is_ok());
+        for cut in 0..line.len() {
+            assert!(parse_json(&line[..cut]).is_err(), "prefix {cut}");
+        }
+    }
+}
+
+proptest! {
+    // Each case parses every prefix of a ~1.5 KB line.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A trace line with one byte overwritten from the JSON token alphabet
+    /// and then cut short at every byte parses to `Ok` or `Err` and never
+    /// panics.
+    #[test]
+    fn truncated_trace_lines_never_panic(
+        line in 0usize..2,
+        at in any::<usize>(),
+        byte in 0usize..TOKEN_BYTES.len(),
+    ) {
+        let original = TRACE.lines().nth(line).expect("two trace lines");
+        prop_assert!(original.is_ascii());
+        let mut damaged = original.as_bytes().to_vec();
+        let at = at % damaged.len();
+        damaged[at] = TOKEN_BYTES[byte];
+        let damaged = String::from_utf8(damaged).expect("ASCII stays UTF-8");
+        for cut in 0..=damaged.len() {
+            let _ = parse_json(&damaged[..cut]);
+        }
     }
 }

@@ -10,8 +10,10 @@
 #                               BENCH_TOLERANCE (default 0.15 = 15%) below
 #                               the committed baseline
 #
-# Both modes gate the instrumentation overhead recorded in the committed
-# full-mode BENCH_eval.json at BENCH_OVERHEAD_TOLERANCE (default 0.05 =
+# Both modes gate two figures of the committed full-mode baselines: the
+# 1.5k->500k fault-events/s decay in BENCH_scale.json (ceiling
+# BENCH_SCALE_DECAY_CEILING, default 4.25), and the instrumentation
+# overhead in BENCH_eval.json at BENCH_OVERHEAD_TOLERANCE (default 0.05 =
 # 5%). Typical readings are 0-1%; the ceiling sits above that because
 # per-process memory-layout jitter (allocator/ASLR placement) biases any
 # single bench_eval run by a couple percent either way, and a real
@@ -71,10 +73,15 @@ serial_rate() {
     grep '"serial": *{' "$1" | sed -n 's/.*"vectors_per_sec": *\([0-9][0-9.]*\).*/\1/p' | head -n 1
 }
 
-# wrate FILE CIRCUIT BACKEND KEY -> KEY from the width row for CIRCUIT+BACKEND
-wrate() {
-    grep "\"circuit\": *\"$2\"" "$1" | grep "\"backend\": *\"$3\"" |
-        sed -n "s/.*\"$4\": *\\([0-9][0-9.]*\\).*/\\1/p" | head -n 1
+# scale_rate FILE CIRCUIT KEY -> KEY from BENCH_scale's serial measurement
+# for that size.
+scale_rate() {
+    awk -v circuit="$2" -v key="$3" '
+        /"circuit":/ { inside = index($0, "\"" circuit "\"") > 0 }
+        inside && /"serial": *\{/ && match($0, "\"" key "\": [0-9.]+") {
+            print substr($0, RSTART + length(key) + 4, RLENGTH - length(key) - 4)
+            exit
+        }' "$1"
 }
 
 # compare LABEL BASELINE CURRENT -> fails when CURRENT < (1-TOLERANCE)*BASELINE
@@ -103,15 +110,39 @@ overhead_gate() {
     }'
 }
 
+# The scaling gate: the committed full-mode baseline's fault-events/s at
+# 1.5k gates over its rate at 500k must stay under a fixed ceiling so the
+# big end of the curve cannot silently regress. The decay at 500k is
+# dominated by the circuit-wide good-value and CSR arrays falling out of
+# cache; the curve sat at 4.09 when first recorded on a 1-CPU host and at
+# 3.83 on the 2-CPU re-record, and the ceiling leaves ~4% headroom over
+# 4.09. It reads only the committed file, so it runs on any host shape.
+scale_decay_gate() {
+    awk -v e1500="$(scale_rate BENCH_scale.json scale_1500 fault_events_per_sec)" \
+        -v e500k="$(scale_rate BENCH_scale.json scale_500000 fault_events_per_sec)" \
+        -v ceiling="${BENCH_SCALE_DECAY_CEILING:-4.25}" 'BEGIN {
+        if (e500k <= 0) {
+            print "FAIL scale decay: BENCH_scale.json has no measured scale_500000 size"
+            exit 1
+        }
+        ratio = e1500 / e500k
+        if (ratio > ceiling) {
+            printf "FAIL scale decay: 1.5k->500k fault-events/s ratio %.2f exceeds the %.2f ceiling\n",
+                ratio, ceiling
+            exit 1
+        }
+        printf "ok   scale decay: 1.5k->500k fault-events/s ratio %.2f (ceiling %.2f)\n", ratio, ceiling
+    }'
+}
+
+validate_committed
+overhead_gate committed BENCH_eval.json "$OVERHEAD_TOLERANCE"
+scale_decay_gate
 if [ "$mode" = "--validate" ]; then
-    validate_committed
-    overhead_gate committed BENCH_eval.json "$OVERHEAD_TOLERANCE"
     exit 0
 fi
 
 # --smoke: fresh runs, schema checks, then the regression gate.
-validate_committed
-overhead_gate committed BENCH_eval.json "$OVERHEAD_TOLERANCE"
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
@@ -144,55 +175,6 @@ awk -v cur="$(json_num "$tmpdir/eval.json" speedup)" -v floor=1.3 'BEGIN {
 # but the sub-second smoke passes are noisy, hence the looser ceiling.
 overhead_gate smoke "$tmpdir/eval.json" "$SMOKE_OVERHEAD_TOLERANCE"
 
-# The wide packed backend must keep its advantage over scalar64. The gate
-# compares within-run speedups, not absolute rates, so it holds on any
-# machine shape. bench_sim's smoke mode replays the full-length streams:
-# both rates and the wide/scalar ratio drift as detected faults drop out
-# (s298's ratio reads ~1.3x over 200 vectors but ~1.5x over 4000), so only
-# equal streams compare. (Absolute wide256 throughput is covered
-# transitively: scalar64 serial throughput is gated below, and this ratio
-# ties wide256 to it.)
-for circuit in s298 s1423; do
-    awk -v label="sim width $circuit wide256" \
-        -v base="$(wrate BENCH_sim.json "$circuit" wide256 speedup_vs_scalar64)" \
-        -v cur="$(wrate "$tmpdir/sim.json" "$circuit" wide256 speedup_vs_scalar64)" \
-        -v tol="$TOLERANCE" 'BEGIN {
-        floor = base * (1 - tol)
-        if (cur < floor) {
-            printf "FAIL %s: %.2fx speedup vs scalar64 is below the committed %.2fx (floor %.2fx at %.0f%% tolerance)\n",
-                label, cur, base, floor, 100 * tol
-            exit 1
-        }
-        printf "ok   %s: %.2fx speedup vs scalar64 (committed %.2fx, floor %.2fx)\n",
-            label, cur, base, floor
-    }'
-done
-
-# srate FILE CIRCUIT BACKEND -> vectors_per_sec from BENCH_scale's row for
-# that size and backend.
-srate() {
-    awk -v circuit="$2" -v backend="$3" '
-        /"circuit":/ { inside = index($0, "\"" circuit "\"") > 0 }
-        inside && index($0, "\"backend\": \"" backend "\"") > 0 {
-            if (match($0, /"vectors_per_sec": [0-9.]+/)) {
-                print substr($0, RSTART + 19, RLENGTH - 19)
-                exit
-            }
-        }' "$1"
-}
-
-# max_erate FILE CIRCUIT -> the best fault_events_per_sec across CIRCUIT's
-# rows.
-max_erate() {
-    awk -v circuit="$2" '
-        /"circuit":/ { inside = index($0, "\"" circuit "\"") > 0 }
-        inside && match($0, /"fault_events_per_sec": [0-9.]+/) {
-            v = substr($0, RSTART + 24, RLENGTH - 24) + 0
-            if (v > best) best = v
-        }
-        END { print best + 0 }' "$1"
-}
-
 host_cpus="$(json_num "$tmpdir/eval.json" host_cpus)"
 base_cpus="$(json_num BENCH_eval.json host_cpus)"
 if [ "$host_cpus" != "$base_cpus" ]; then
@@ -209,34 +191,9 @@ compare "sim serial" \
 # The scaling sweep's regression gate runs on the largest size the smoke
 # run covers (its per-size stream and warmup match the committed full-mode
 # baseline's, so the absolute rates are comparable on the same shape).
-compare "scale 10k scalar64" \
-    "$(srate BENCH_scale.json scale_10000 scalar64)" \
-    "$(srate "$tmpdir/scale.json" scale_10000 scalar64)"
-
-# The scaling gate: the committed full-mode baseline's best fault-events/s
-# at 1.5k gates over its best at 500k must stay under a fixed ceiling so
-# the big end of the curve cannot silently regress. The decay at 500k is
-# dominated by the circuit-wide good-value and CSR arrays falling out of
-# cache; the curve sat at 4.09 when first recorded on a 1-CPU host (3.2
-# on the 2-CPU re-record), and the ceiling leaves ~4% headroom over 4.09.
-# Sits behind the host_cpus guard above with the other absolute-rate
-# gates: the committed numbers are only meaningfully re-checked on the
-# shape they were recorded on.
-awk -v e1500="$(max_erate BENCH_scale.json scale_1500)" \
-    -v e500k="$(max_erate BENCH_scale.json scale_500000)" \
-    -v ceiling="${BENCH_SCALE_DECAY_CEILING:-4.25}" 'BEGIN {
-    if (e500k <= 0) {
-        print "FAIL scale decay: BENCH_scale.json has no measured scale_500000 rows"
-        exit 1
-    }
-    ratio = e1500 / e500k
-    if (ratio > ceiling) {
-        printf "FAIL scale decay: 1.5k->500k fault-events/s ratio %.2f exceeds the %.2f ceiling\n",
-            ratio, ceiling
-        exit 1
-    }
-    printf "ok   scale decay: 1.5k->500k fault-events/s ratio %.2f (ceiling %.2f)\n", ratio, ceiling
-}'
+compare "scale 10k" \
+    "$(scale_rate BENCH_scale.json scale_10000 vectors_per_sec)" \
+    "$(scale_rate "$tmpdir/scale.json" scale_10000 vectors_per_sec)"
 
 # The serve smoke fleet (8 concurrent s27 jobs) is a smaller mix than the
 # committed full-mode baseline (16 jobs including s298), so their jobs/min

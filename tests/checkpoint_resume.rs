@@ -151,8 +151,8 @@ fn arbitrary_snapshot(seed: u64) -> RunSnapshot {
             cache_misses: mix.next(),
             dedup_skips: mix.next(),
             prefix_frames_avoided: mix.next(),
-            wide_groups: mix.next(),
-            lanes_per_group: mix.next(),
+            events_amortized: mix.next(),
+            commit_batch_frames: mix.next(),
             ..CounterSnapshot::default()
         },
     }
@@ -412,46 +412,6 @@ fn s298_sampled_kills_resume_bit_identically() {
     let _ = std::fs::remove_file(&ck);
 }
 
-/// Backend width is an execution detail, not run state: a checkpoint taken
-/// under one width resumes under any other — same v3 format, no width
-/// recorded, no adjacency persisted (the CSR is derived data rebuilt on
-/// load) — and reproduces the uninterrupted run byte for byte.
-#[test]
-fn checkpoint_resumes_across_sim_widths_bit_identically() {
-    use gatest_sim::SimBackend;
-    let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
-    let make = |backend: SimBackend| {
-        let mut config = GatestConfig::for_circuit(&circuit)
-            .with_seed(21)
-            .with_sim_width(backend);
-        config.fault_sample = FaultSample::Count(60);
-        TestGenerator::new(Arc::clone(&circuit), config)
-    };
-    let expected = fingerprint(&make(SimBackend::Scalar64).run());
-    let ck = temp_path("s298-xwidth");
-    for (writer, resumer) in [
-        (SimBackend::Scalar64, SimBackend::Wide256),
-        (SimBackend::Wide256, SimBackend::Scalar64),
-    ] {
-        let leg = make(writer).run_controlled(&RunControls {
-            checkpoint_path: Some(ck.clone()),
-            max_ticks: Some(53),
-            ..RunControls::default()
-        });
-        assert_eq!(leg.stop, StopCause::Interrupted, "{writer} leg too short");
-        let snap = RunSnapshot::load(&ck).unwrap();
-        let resumed = make(resumer)
-            .resume(&snap, &RunControls::default())
-            .unwrap();
-        assert_eq!(
-            fingerprint(&resumed),
-            expected,
-            "{writer} checkpoint resumed at {resumer}"
-        );
-    }
-    let _ = std::fs::remove_file(&ck);
-}
-
 /// Interrupting twice (three legs total) still lands on the identical
 /// result: elapsed and counters accumulate across legs without skew.
 #[test]
@@ -641,13 +601,11 @@ fn multi_state_checkpoints_resume_bit_identically() {
     let _ = std::fs::remove_file(&ck);
 }
 
-/// Checkpoints from builds with an in-simulator fault-group thread pool
-/// carry its two counters (dispatched groups, worker wake latency) in
-/// slots 10 and 11 of the counter block. This build writes 0 there and
-/// ignores the stored values: a real s298 checkpoint with both slots set
-/// decodes to the same snapshot and resumes byte-identically.
-#[test]
-fn retired_group_pool_counter_slots_resume_bit_identically() {
+/// Writes a real s298 checkpoint, stores `values` in the given retired
+/// counter slots (which this build writes as 0), and checks the file still
+/// decodes to the same snapshot, re-encodes to the original bytes, and
+/// resumes byte-identically.
+fn assert_retired_slots_resume(name: &str, values: &[(usize, u64)]) {
     let circuit = Arc::new(gatest_netlist::benchmarks::iscas89("s298").unwrap());
     let make = || {
         let mut config = GatestConfig::for_circuit(&circuit).with_seed(21);
@@ -655,7 +613,7 @@ fn retired_group_pool_counter_slots_resume_bit_identically() {
         TestGenerator::new(Arc::clone(&circuit), config)
     };
     let expected = fingerprint(&make().run());
-    let ck = temp_path("s298-group-slots");
+    let ck = temp_path(name);
     let leg = make().run_controlled(&RunControls {
         checkpoint_path: Some(ck.clone()),
         max_ticks: Some(53),
@@ -668,7 +626,7 @@ fn retired_group_pool_counter_slots_resume_bit_identically() {
     // The 27 counters sit just before the checksum.
     let slot = |i: usize| bytes.len() - 8 - (27 - i) * 8;
     let mut old = bytes.clone();
-    for (i, value) in [(10, 4_096u64), (11, 730_000)] {
+    for &(i, value) in values {
         assert_eq!(
             old[slot(i)..slot(i) + 8],
             [0u8; 8],
@@ -679,10 +637,25 @@ fn retired_group_pool_counter_slots_resume_bit_identically() {
     let old = reseal(old);
     assert_ne!(old, bytes);
     let decoded = RunSnapshot::decode(&old).unwrap();
-    assert_eq!(decoded, snap, "the stored group counters are ignored");
+    assert_eq!(decoded, snap, "the stored retired counters are ignored");
     assert_eq!(decoded.encode(), bytes, "and re-encoded as 0");
     let resumed = make().resume(&decoded, &RunControls::default()).unwrap();
     assert_eq!(fingerprint(&resumed), expected);
+}
+
+/// Checkpoints from builds with an in-simulator fault-group thread pool
+/// carry its two counters (dispatched groups, worker wake latency) in
+/// slots 10 and 11 of the counter block.
+#[test]
+fn retired_group_pool_counter_slots_resume_bit_identically() {
+    assert_retired_slots_resume("s298-group-slots", &[(10, 4_096), (11, 730_000)]);
+}
+
+/// Checkpoints from builds with a four-word packed backend carry its two
+/// counters (wide groups simulated, lanes per group) in slots 19 and 20.
+#[test]
+fn retired_wide_backend_counter_slots_resume_bit_identically() {
+    assert_retired_slots_resume("s298-wide-slots", &[(19, 83_393), (20, 256)]);
 }
 
 #[test]

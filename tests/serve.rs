@@ -269,6 +269,24 @@ fn http_admission_control_and_cancel() {
     );
 }
 
+/// A request body nested far past the JSON parser's depth cap is refused
+/// with 400 — the connection thread parsing it must not overflow its
+/// stack — and the server keeps accepting work afterwards.
+#[test]
+fn deeply_nested_job_body_is_refused_and_serving_continues() {
+    let server = Server::start(ServerConfig::default()).expect("server starts");
+    let addr = server.local_addr();
+    for body in ["[".repeat(200_000), "{\"a\":".repeat(100_000)] {
+        let (status, reply) = post(addr, "/jobs", &body);
+        assert!(status.contains("400"), "{status} {reply}");
+        assert!(reply.contains("nesting deeper than"), "{reply}");
+    }
+    let id = submit(addr, "{\"circuit\":\"s27\"}");
+    wait_for(Duration::from_secs(120), || {
+        job_field(addr, id, "state").as_str() == Some("done")
+    });
+}
+
 /// The drain/restart contract: SIGTERM-style drain checkpoints the running
 /// job and persists the queue; a fresh server over the same state dir
 /// resumes it and finishes with bytes identical to a standalone run.
