@@ -66,38 +66,6 @@ fn bench_fault_list_construction(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_ppsfp_vs_serial_grading(c: &mut Criterion) {
-    use gatest_netlist::scan::full_scan;
-    use gatest_sim::ppsfp::Ppsfp;
-    let mut group = c.benchmark_group("ablation_ppsfp");
-    group.sample_size(10);
-    let seq = benchmarks::iscas89("s386").expect("bundled circuit");
-    let comb = Arc::new(full_scan(&seq).circuit().clone());
-    let mut rng = Rng::new(5);
-    let patterns: Vec<Vec<Logic>> = (0..256)
-        .map(|_| {
-            (0..comb.num_inputs())
-                .map(|_| Logic::from_bool(rng.coin()))
-                .collect()
-        })
-        .collect();
-    group.throughput(Throughput::Elements(patterns.len() as u64));
-    group.bench_function("ppsfp_parallel_patterns", |b| {
-        let grader = Ppsfp::new(Arc::clone(&comb)).expect("combinational");
-        b.iter(|| grader.grade(&patterns))
-    });
-    group.bench_function("faultsim_serial_patterns", |b| {
-        b.iter(|| {
-            let mut sim = FaultSim::new(Arc::clone(&comb));
-            for p in &patterns {
-                sim.step(p);
-            }
-            sim.detected_count()
-        })
-    });
-    group.finish();
-}
-
 fn bench_backtrace_guides(c: &mut Criterion) {
     use gatest_baselines::hitec::{BacktraceGuide, HitecAtpg, HitecConfig};
     let mut group = c.benchmark_group("ablation_backtrace_guide");
@@ -147,7 +115,6 @@ criterion_group!(
     bench_simulation_modes,
     bench_fault_list_construction,
     bench_backtrace_guides,
-    bench_parallel_workers,
-    bench_ppsfp_vs_serial_grading
+    bench_parallel_workers
 );
 criterion_main!(benches);

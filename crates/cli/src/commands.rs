@@ -1,6 +1,7 @@
 //! The CLI subcommands.
 
 use std::error::Error;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,6 +28,17 @@ use gatest_telemetry::{
 
 use crate::load_circuit;
 use crate::opts::{Opts, UsageError};
+
+/// Prints `text` and a newline through one locked stdout handle. A reader
+/// that closed early (`gatest trace summarize t.jsonl | head -1`) ends the
+/// command quietly and successfully instead of panicking on the write.
+fn print_report(text: &str) -> Result<(), Box<dyn Error>> {
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        other => Ok(other?),
+    }
+}
 
 /// Writes `text` to `--out` if given, else stdout.
 fn emit(opts: &Opts, text: &str) -> Result<(), Box<dyn Error>> {
@@ -596,8 +608,7 @@ pub fn trace(opts: &Opts) -> Result<(), Box<dyn Error>> {
                 "summarize" => summarize_trace(&text)?,
                 _ => trace_phases(&text)?,
             };
-            println!("{report}");
-            Ok(())
+            print_report(&report)
         }
         "diff" => {
             let base_path = opts
@@ -617,7 +628,7 @@ pub fn trace(opts: &Opts) -> Result<(), Box<dyn Error>> {
             let new = trace_stats(&std::fs::read_to_string(new_path)?)
                 .map_err(|e| format!("{new_path}: {e}"))?;
             let (report, regressed) = diff_traces(&base, &new, threshold, !opts.has("no-timing"));
-            println!("{report}");
+            print_report(&report)?;
             if regressed {
                 return Err(format!("`{new_path}` regressed against `{base_path}`").into());
             }

@@ -202,6 +202,34 @@ fn trace_out_emits_all_event_kinds_and_summarizes() {
     assert!(summary.contains("finished: "), "{summary}");
 }
 
+/// `gatest trace summarize|phases … | head -1`: a reader that closes its
+/// end before the report is written ends the command quietly, with no
+/// panic on the broken pipe.
+#[test]
+fn trace_reports_into_a_closed_pipe_exit_quietly() {
+    use std::process::Stdio;
+
+    let trace = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/data/s298_seed5_full.trace.jsonl"
+    );
+    for action in ["summarize", "phases"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_gatest"))
+            .args(["trace", action, trace])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        // Close the read end before the child has read its trace.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{action}: {stderr}");
+        assert!(!stderr.contains("Broken pipe"), "{action}: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{action}: {stderr}");
+    }
+}
+
 #[test]
 fn verbose_prints_telemetry_table() {
     let out = gatest(&["atpg", "s27", "--seed", "3", "-v", "--out", "/dev/null"]);
@@ -210,4 +238,48 @@ fn verbose_prints_telemetry_table() {
     for needle in ["2 vector generation", "ga generations", "evals/sec"] {
         assert!(stderr.contains(needle), "missing `{needle}`:\n{stderr}");
     }
+}
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Transition results pinned to recorded values: the GA generator's
+/// detections, vector count and test-set hash at seed 1, and `grade
+/// --transition` on a committed test set (`gatest atpg s298 --seed 1`).
+/// A change to the transition simulator's kernel must leave all of them
+/// exactly as they are.
+#[test]
+fn transition_results_match_recorded_values() {
+    use std::sync::Arc;
+
+    use gatest_core::report::test_set_to_string;
+    use gatest_core::transition::TransitionTestGenerator;
+    use gatest_core::GatestConfig;
+
+    for (name, detected, vectors, hash) in [
+        ("s27", 33, 23, 0x9ffd_a865_cea1_6fe1),
+        ("s298", 352, 222, 0xa862_5ff0_3a2f_41f2),
+    ] {
+        let circuit = Arc::new(gatest_netlist::benchmarks::iscas89(name).unwrap());
+        let config = GatestConfig::for_circuit(&circuit).with_seed(1);
+        let result = TransitionTestGenerator::new(circuit, config).run();
+        let text = test_set_to_string(&result.test_set);
+        assert_eq!(
+            (result.detected, result.vectors(), fnv1a(text.as_bytes())),
+            (detected, vectors, hash),
+            "{name}: transition generator drifted from its recorded result"
+        );
+    }
+
+    let tests = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/s298_seed1.tests");
+    let out = gatest(&["grade", "s298", "--tests", tests, "--transition"]);
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "transition faults: 359/436 detected (82.3%)\n"
+    );
 }

@@ -32,8 +32,8 @@ use gatest_telemetry::{Instruments, SimCounters, SpanHandle, SpanKind};
 use crate::fault::{FaultId, FaultList, FaultStatus};
 use crate::good_sim::{GoodSim, GoodSimState, GoodStepReport};
 use crate::group::{
-    simulate_group, simulate_group_window, FaultyFfState, GoodFrame, GroupCtx, GroupOutcome,
-    Scratch,
+    simulate_group, simulate_group_window, stuck_at_forces, FaultyFfState, GoodFrame, GroupCtx,
+    GroupOutcome, Scratch,
 };
 use crate::value::{for_each_lane, Logic, Pv64};
 
@@ -789,12 +789,12 @@ fn run_engine(
     let ctx = GroupCtx {
         circuit,
         good,
-        faults,
         faulty_ff: faulty_ff.as_slice(),
         empty_ff,
     };
     for (group, out) in targets.chunks(Pv64::LANES).zip(engine.outcomes.iter_mut()) {
-        simulate_group(&ctx, group, &mut engine.scratch, out);
+        let forces = stuck_at_forces(faults, group);
+        simulate_group(&ctx, group, forces, &mut engine.scratch, out);
     }
 
     // Merge outcomes back **in group order**. The merge is the only place
@@ -863,12 +863,12 @@ fn run_engine_window(
             let ctx = GroupCtx {
                 circuit,
                 good,
-                faults,
                 faulty_ff: faulty_ff.as_slice(),
                 empty_ff,
             };
             simulate_group_window(
                 &ctx,
+                faults,
                 frames,
                 group,
                 &mut engine.scratch,

@@ -9,6 +9,12 @@
 //! ([`GroupCtx`]) plus a private arena ([`Scratch`]), so the per-vector
 //! step and the batched commit window run the exact same code.
 //!
+//! What a group forces is a parameter: [`simulate_group`] takes the
+//! current frame's `(lane, site, value)` forces, so the stuck-at simulator
+//! passes every fault of the group ([`stuck_at_forces`]) while the
+//! transition simulator passes only the faults whose launch condition holds
+//! this frame. Both fault models run this one propagation kernel.
+//!
 //! Results land in a [`GroupOutcome`] instead of being applied in place;
 //! the caller merges outcomes back **in group order**: lane order within a
 //! group is fault order, and group order is ascending fault order, so the
@@ -57,8 +63,6 @@ pub(crate) struct GroupCtx<'a> {
     pub circuit: &'a Circuit,
     /// The good machine, already advanced past the vector being simulated.
     pub good: &'a GoodSim,
-    /// The fault universe (sites and stuck values).
-    pub faults: &'a FaultList,
     /// Sparse faulty flip-flop state per fault, from the *previous* frame.
     pub faulty_ff: &'a [FaultyFfState],
     /// The shared empty slice, so clearing a fault's state allocates nothing.
@@ -282,24 +286,34 @@ impl Scratch {
     }
 }
 
-/// Builds the per-group stem/branch forcing tables for the current stamp:
-/// sorts the group's fault sites by net and publishes stamped
-/// `(start, end)` ranges over the sorted entry slices. Entry order within a
-/// net is ascending lane order (forced by the sort key), which matches the
-/// insertion order the old HashMap tables had. Returns the estimated
-/// scratch bytes served.
-fn publish_forcing(faults: &FaultList, group: &[FaultId], scratch: &mut Scratch) -> u64 {
+/// One forced value for one frame: `(lane, site, value)`.
+pub(crate) type Force = (u32, FaultSite, Logic);
+
+/// The forces of a stuck-at group: every fault of `group` holds its site at
+/// its stuck value in every frame, on the lane of its position.
+pub(crate) fn stuck_at_forces<'a>(
+    faults: &'a FaultList,
+    group: &'a [FaultId],
+) -> impl Iterator<Item = Force> + 'a {
+    group.iter().enumerate().map(|(lane, &fid)| {
+        let fault = faults.get(fid);
+        (lane as u32, fault.site, fault.stuck)
+    })
+}
+
+/// Builds the per-frame stem/branch forcing tables for the current stamp:
+/// sorts `forces` by site and publishes stamped `(start, end)` ranges over
+/// the sorted entry slices. Entry order within a net is ascending lane
+/// order (forced by the sort key). Returns the estimated scratch bytes
+/// served.
+fn publish_forcing(forces: impl IntoIterator<Item = Force>, scratch: &mut Scratch) -> u64 {
     let stamp = scratch.stamp;
     scratch.stem_tmp.clear();
     scratch.branch_tmp.clear();
-    for (lane, &fid) in group.iter().enumerate() {
-        let lane = lane as u32;
-        let fault = faults.get(fid);
-        match fault.site {
-            FaultSite::Stem(net) => scratch.stem_tmp.push((net, lane, fault.stuck)),
-            FaultSite::Branch { gate, pin } => {
-                scratch.branch_tmp.push((gate, pin, lane, fault.stuck))
-            }
+    for (lane, site, value) in forces {
+        match site {
+            FaultSite::Stem(net) => scratch.stem_tmp.push((net, lane, value)),
+            FaultSite::Branch { gate, pin } => scratch.branch_tmp.push((gate, pin, lane, value)),
         }
     }
     scratch
@@ -528,7 +542,8 @@ fn materialize_new_ff(
 }
 
 /// Simulates one group of at most 64 faults against the
-/// already-advanced good machine, writing everything it learns into `out`.
+/// already-advanced good machine under this frame's `forces`, writing
+/// everything it learns into `out`.
 ///
 /// Groups are order-independent: a group reads only the previous frame's
 /// faulty-FF state for its own faults and the (frozen) good machine, so
@@ -537,13 +552,14 @@ fn materialize_new_ff(
 pub(crate) fn simulate_group(
     ctx: &GroupCtx<'_>,
     group: &[FaultId],
+    forces: impl IntoIterator<Item = Force>,
     scratch: &mut Scratch,
     out: &mut GroupOutcome,
 ) {
     debug_assert!(group.len() <= Pv64::LANES);
     out.reset();
     scratch.begin_frame();
-    out.scratch_bytes += publish_forcing(ctx.faults, group, scratch);
+    out.scratch_bytes += publish_forcing(forces, scratch);
     let live = low_lanes(group.len());
     run_frame(
         ctx.circuit,
@@ -561,8 +577,9 @@ pub(crate) fn simulate_group(
     materialize_new_ff(ctx, group, live, scratch, out);
 }
 
-/// Simulates one group across a *window* of already-committed good-machine
-/// frames in a single pass, producing one [`GroupOutcome`] per frame.
+/// Simulates one stuck-at group across a *window* of already-committed
+/// good-machine frames in a single pass, producing one [`GroupOutcome`] per
+/// frame.
 ///
 /// Frame `0` seeds from the shared faulty-FF table exactly like
 /// [`simulate_group`]; each later frame seeds from the previous frame's
@@ -578,6 +595,7 @@ pub(crate) fn simulate_group(
 /// depend on how the work was batched.
 pub(crate) fn simulate_group_window(
     ctx: &GroupCtx<'_>,
+    faults: &FaultList,
     frames: &[GoodFrame<'_>],
     group: &[FaultId],
     scratch: &mut Scratch,
@@ -591,7 +609,7 @@ pub(crate) fn simulate_group_window(
     for (f, (frame, out)) in frames.iter().zip(outs.iter_mut()).enumerate() {
         out.reset();
         scratch.begin_frame();
-        out.scratch_bytes += publish_forcing(ctx.faults, group, scratch);
+        out.scratch_bytes += publish_forcing(stuck_at_forces(faults, group), scratch);
         if f == 0 {
             run_frame(
                 ctx.circuit,

@@ -21,7 +21,9 @@
 //!   paper adds in §IV.
 //! * [`transition`] — the transition (gross-delay) fault model and its
 //!   simulator, demonstrating the paper's claim that other fault models
-//!   slot into the same framework.
+//!   slot into the same framework: it runs the stuck-at simulator's group
+//!   kernel, the crate's one faulty-machine propagation routine, with a
+//!   one-frame stem force per launched fault.
 //! * [`fault_report`] — textual per-fault status reports (round-tripping).
 //! * [`equiv`] — random-simulation equivalence smoke-checking.
 //! * [`dictionary`] — first-detection fault dictionaries and
@@ -29,8 +31,6 @@
 //! * [`state_space`] — exhaustive reachability and synchronizing-sequence
 //!   analysis for small machines.
 //! * [`vcd`] — VCD waveform export of simulation traces.
-//! * [`ppsfp`] — parallel-pattern single-fault propagation for
-//!   combinational (scan) circuits, the classic dual of PROOFS.
 //!
 //! # Example
 //!
@@ -62,7 +62,6 @@ pub mod fsim;
 pub mod good_sim;
 pub(crate) mod group;
 pub mod packed_good;
-pub mod ppsfp;
 pub mod state_space;
 pub mod transition;
 pub mod value;

@@ -20,20 +20,20 @@
 //! the right multi-frame sequence: the same search problem GATEST solves
 //! for stuck-at faults, with this simulator as the fitness oracle.
 //!
-//! The engine reuses the packed 64-slot machinery of the stuck-at
-//! simulator: per frame, a transition fault whose launch condition holds is
-//! injected as a one-frame stuck-at of the old value; once its effect
-//! diverges into the flip-flops it propagates like any other fault.
+//! The engine is the stuck-at simulator's group kernel
+//! ([`crate::group`]): per frame, a transition fault whose launch condition
+//! holds is passed to it as a one-frame stem force of the old value; once
+//! its effect diverges into the flip-flops it propagates like any other
+//! faulty flip-flop state.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use gatest_netlist::{Circuit, NetId};
 
-use crate::eval::eval_packed;
-use crate::fault::FaultId;
+use crate::fault::{FaultId, FaultSite};
 use crate::good_sim::{GoodSim, GoodSimState};
-use crate::value::{Logic, Pv64};
+use crate::group::{simulate_group, FaultyFfState, GroupCtx, GroupOutcome, Scratch};
+use crate::value::{for_each_lane, Logic, Pv64};
 
 /// The slow transition direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,7 +124,7 @@ pub struct TransitionCheckpoint {
     prev_values: Vec<Logic>,
     detected: Vec<bool>,
     active: Vec<FaultId>,
-    faulty_ff: Vec<Vec<(u32, Logic)>>,
+    faulty_ff: Vec<FaultyFfState>,
 }
 
 /// The transition-fault simulator.
@@ -154,16 +154,16 @@ pub struct TransitionFaultSim {
     faults: Vec<TransitionFault>,
     detected: Vec<bool>,
     active: Vec<FaultId>,
-    faulty_ff: Vec<Vec<(u32, Logic)>>,
+    /// Sparse faulty flip-flop state per fault, as in the stuck-at
+    /// simulator.
+    faulty_ff: Vec<FaultyFfState>,
+    /// The shared empty slice, so clearing a fault's state allocates nothing.
+    empty_ff: FaultyFfState,
     /// Good values of every net in the previous frame (for launch checks).
     prev_values: Vec<Logic>,
-
-    // Scratch (same structure as the stuck-at engine).
-    fval: Vec<Pv64>,
-    fstamp: Vec<u32>,
-    stamp: u32,
-    queued: Vec<u32>,
-    buckets: Vec<Vec<NetId>>,
+    /// The group kernel's arena and per-group outcome, reused every step.
+    scratch: Scratch,
+    outcome: GroupOutcome,
 }
 
 impl TransitionFaultSim {
@@ -176,22 +176,20 @@ impl TransitionFaultSim {
     /// Creates a simulator over a caller-supplied fault list.
     pub fn with_faults(circuit: Arc<Circuit>, faults: Vec<TransitionFault>) -> Self {
         let good = GoodSim::new(Arc::clone(&circuit));
-        let n = circuit.num_gates();
         let nfaults = faults.len();
         let max_level = good.levelization().max_level() as usize;
+        let empty_ff: FaultyFfState = Arc::from(Vec::new());
         TransitionFaultSim {
+            scratch: Scratch::new(&circuit, max_level),
+            outcome: GroupOutcome::default(),
+            prev_values: vec![Logic::X; circuit.num_gates()],
             circuit,
             good,
             detected: vec![false; nfaults],
             active: (0..nfaults as u32).map(FaultId).collect(),
-            faulty_ff: vec![Vec::new(); nfaults],
-            prev_values: vec![Logic::X; n],
+            faulty_ff: vec![Arc::clone(&empty_ff); nfaults],
+            empty_ff,
             faults,
-            fval: vec![Pv64::ALL_X; n],
-            fstamp: vec![0; n],
-            stamp: 0,
-            queued: vec![0; n],
-            buckets: vec![Vec::new(); max_level + 1],
         }
     }
 
@@ -263,15 +261,41 @@ impl TransitionFaultSim {
 
     fn step_with(&mut self, vector: &[Logic], targets: &[FaultId]) -> TransitionStepReport {
         // Record previous-frame good values, then advance the good machine.
-        for id in self.circuit.net_ids() {
-            self.prev_values[id.index()] = self.good.value(id);
-        }
+        self.prev_values.copy_from_slice(self.good.values());
         self.good.apply(vector);
 
         let mut report = TransitionStepReport::default();
         let mut detected: Vec<FaultId> = Vec::new();
-        for group in targets.chunks(64) {
-            self.simulate_group(group, &mut report, &mut detected);
+        for group in targets.chunks(Pv64::LANES) {
+            // Conditional injection: a fault forces its net to the old
+            // value only in frames where the launch condition holds
+            // (previous good value = old, current good value = new).
+            let launches = group.iter().enumerate().filter_map(|(lane, &fid)| {
+                let TransitionFault { net, slow } = self.faults[fid.index()];
+                let launch = self.prev_values[net.index()] == slow.old_value()
+                    && self.good.value(net) == slow.new_value();
+                launch.then(|| {
+                    report.launched += 1;
+                    (lane as u32, FaultSite::Stem(net), slow.old_value())
+                })
+            });
+            // Rebuilt per group: the faulty-FF table is read during the
+            // simulation and written for this group's lanes just below.
+            let ctx = GroupCtx {
+                circuit: &self.circuit,
+                good: &self.good,
+                faulty_ff: &self.faulty_ff,
+                empty_ff: &self.empty_ff,
+            };
+            let out = &mut self.outcome;
+            simulate_group(&ctx, group, launches, &mut self.scratch, out);
+            report.ff_effect_pairs += out.ff_effect_pairs;
+            for_each_lane(out.detected_mask, |lane| detected.push(group[lane]));
+            for (slot, &fid) in out.new_ff.iter_mut().zip(group) {
+                if let Some(entry) = slot.take() {
+                    self.faulty_ff[fid.index()] = entry;
+                }
+            }
         }
 
         if !detected.is_empty() {
@@ -279,147 +303,12 @@ impl TransitionFaultSim {
             detected.dedup();
             for &f in &detected {
                 self.detected[f.index()] = true;
-                self.faulty_ff[f.index()].clear();
+                self.faulty_ff[f.index()] = Arc::clone(&self.empty_ff);
             }
             self.active.retain(|f| !self.detected[f.index()]);
         }
         report.newly_detected = detected;
         report
-    }
-
-    fn simulate_group(
-        &mut self,
-        group: &[FaultId],
-        report: &mut TransitionStepReport,
-        detected: &mut Vec<FaultId>,
-    ) {
-        let circuit = Arc::clone(&self.circuit);
-        self.stamp = self.stamp.wrapping_add(2);
-        let stamp = self.stamp;
-
-        // Conditional injection: a fault forces its net only in frames
-        // where the launch condition holds (previous good value = old,
-        // current good value = new).
-        let mut stem_force: HashMap<NetId, Vec<(u32, Logic)>> = HashMap::new();
-        for (slot, &fid) in group.iter().enumerate() {
-            let fault = self.faults[fid.index()];
-            let prev = self.prev_values[fault.net.index()];
-            let cur = self.good.value(fault.net);
-            if prev == fault.slow.old_value() && cur == fault.slow.new_value() {
-                report.launched += 1;
-                stem_force
-                    .entry(fault.net)
-                    .or_default()
-                    .push((slot as u32, fault.slow.old_value()));
-            }
-        }
-
-        // Seed faulty flip-flop state differences.
-        for (slot, &fid) in group.iter().enumerate() {
-            let diffs = std::mem::take(&mut self.faulty_ff[fid.index()]);
-            for &(dff_idx, v) in &diffs {
-                let ff = circuit.dffs()[dff_idx as usize];
-                let word = self.effective(ff);
-                let mut w = word;
-                w.set(slot as u32, v);
-                if w != word {
-                    self.fval[ff.index()] = w;
-                    self.fstamp[ff.index()] = stamp;
-                    self.schedule_fanout(&circuit, ff, stamp);
-                }
-            }
-            self.faulty_ff[fid.index()] = diffs;
-        }
-
-        // Seed stem injections.
-        for (&net, forces) in &stem_force {
-            let word = self.effective(net);
-            let mut w = word;
-            for &(slot, v) in forces {
-                w.set(slot, v);
-            }
-            self.fval[net.index()] = w;
-            self.fstamp[net.index()] = stamp;
-            if w != word {
-                self.schedule_fanout(&circuit, net, stamp);
-            }
-        }
-
-        // Event-driven levelized propagation (same as the stuck-at engine).
-        for level in 1..self.buckets.len() {
-            let gates = std::mem::take(&mut self.buckets[level]);
-            for gate in gates {
-                self.queued[gate.index()] = 0;
-                let kind = circuit.kind(gate);
-                let mut fanin_words: Vec<Pv64> = Vec::with_capacity(circuit.fanin(gate).len());
-                for &src in circuit.fanin(gate) {
-                    fanin_words.push(self.effective(src));
-                }
-                let mut out = eval_packed(kind, &fanin_words);
-                if let Some(forces) = stem_force.get(&gate) {
-                    for &(slot, v) in forces {
-                        out.set(slot, v);
-                    }
-                }
-                let old = self.effective(gate);
-                if out != old {
-                    self.fval[gate.index()] = out;
-                    self.fstamp[gate.index()] = stamp;
-                    self.schedule_fanout(&circuit, gate, stamp);
-                }
-            }
-        }
-
-        // Detection at primary outputs.
-        let mut detected_mask = 0u64;
-        for &po in circuit.outputs() {
-            let goodw = Pv64::broadcast(self.good.value(po));
-            detected_mask |= self.effective(po).binary_diff(goodw);
-        }
-        let mut m = detected_mask;
-        while m != 0 {
-            let slot = m.trailing_zeros();
-            detected.push(group[slot as usize]);
-            m &= m - 1;
-        }
-
-        // New faulty flip-flop state.
-        let mut new_state: Vec<Vec<(u32, Logic)>> = vec![Vec::new(); group.len()];
-        for (dff_idx, &ff) in circuit.dffs().iter().enumerate() {
-            let d = circuit.fanin(ff)[0];
-            let faultyw = self.effective(d);
-            let goodw = Pv64::broadcast(self.good.next_state_of(dff_idx));
-            let mut diff = faultyw.any_diff(goodw);
-            while diff != 0 {
-                let slot = diff.trailing_zeros();
-                new_state[slot as usize].push((dff_idx as u32, faultyw.get(slot)));
-                diff &= diff - 1;
-            }
-        }
-        for (slot, &fid) in group.iter().enumerate() {
-            let effects = new_state[slot].len() as u64;
-            report.ff_effect_pairs += effects;
-            self.faulty_ff[fid.index()] = std::mem::take(&mut new_state[slot]);
-        }
-    }
-
-    #[inline]
-    fn effective(&self, net: NetId) -> Pv64 {
-        if self.fstamp[net.index()] == self.stamp {
-            self.fval[net.index()]
-        } else {
-            Pv64::broadcast(self.good.value(net))
-        }
-    }
-
-    fn schedule_fanout(&mut self, circuit: &Circuit, net: NetId, stamp: u32) {
-        for &out in circuit.fanout(net) {
-            if circuit.kind(out).is_combinational() && self.queued[out.index()] != stamp {
-                self.queued[out.index()] = stamp;
-                let level = self.good.levelization().level(out) as usize;
-                self.buckets[level].push(out);
-            }
-        }
     }
 }
 

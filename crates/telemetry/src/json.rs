@@ -450,12 +450,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape at once.
+                // Both are ASCII, so the run ends on a character boundary of
+                // the (already valid) input, and each byte is read once.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
+                out.push_str(run);
             }
         }
     }
@@ -781,6 +785,27 @@ mod tests {
         assert!(parse_json(&mixed).is_ok());
         let mixed = format!("[{}1{}]", "[{\"k\":".repeat(64), "}]".repeat(64));
         assert!(parse_json(&mixed).is_err());
+    }
+
+    #[test]
+    fn large_strings_parse_in_linear_time() {
+        // A 1 MiB string value of multi-byte characters, ending in escapes.
+        // Re-validating the rest of the input once per character made this
+        // take tens of seconds.
+        let unit = "abcdefgh\u{e9}\u{1f600}xyz";
+        let body = unit.repeat((1 << 20) / unit.len());
+        let doc = format!("{{\"s\":{},\"n\":1}}", quote(&format!("{body}\"\\\n")));
+        let start = std::time::Instant::now();
+        let j = parse_json(&doc).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(
+            j.get("s").and_then(Json::as_str),
+            Some(format!("{body}\"\\\n").as_str())
+        );
+        assert_eq!(j.get("n").and_then(Json::as_f64), Some(1.0));
+        assert!(elapsed.as_secs_f64() < 5.0, "1 MiB string took {elapsed:?}");
+        // Unterminated, it is still an error.
+        assert!(parse_json(&format!("\"{body}")).is_err());
     }
 
     #[test]

@@ -287,6 +287,30 @@ fn deeply_nested_job_body_is_refused_and_serving_continues() {
     });
 }
 
+/// A job body carrying a multi-MiB string field is parsed in time linear
+/// in its length and refused with a prompt 400 naming the field, instead of
+/// holding the connection thread for minutes.
+#[test]
+fn multi_mib_string_field_is_refused_promptly() {
+    let server = Server::start(ServerConfig::default()).expect("server starts");
+    let addr = server.local_addr();
+    let body = format!(
+        "{{\"circuit\":\"s27\",\"priority\":\"{}\"}}",
+        "\u{e9}ab".repeat(1 << 20)
+    );
+    assert!(body.len() > 3 << 20);
+    let start = Instant::now();
+    let (status, reply) = post(addr, "/jobs", &body);
+    let elapsed = start.elapsed();
+    assert!(status.contains("400"), "{status} {reply}");
+    assert!(reply.contains("priority"), "{reply}");
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "a {} byte body took {elapsed:?}",
+        body.len()
+    );
+}
+
 /// The drain/restart contract: SIGTERM-style drain checkpoints the running
 /// job and persists the queue; a fresh server over the same state dir
 /// resumes it and finishes with bytes identical to a standalone run.

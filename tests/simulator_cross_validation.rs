@@ -8,6 +8,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use gatest_netlist::benchmarks;
+use gatest_netlist::depth::sequential_depth;
 use gatest_netlist::generate::{CircuitProfile, SyntheticGenerator};
 use gatest_netlist::levelize::Levelization;
 use gatest_netlist::Circuit;
@@ -99,11 +100,15 @@ fn random_sequence(pis: usize, len: usize, seed: u64) -> Vec<Vec<Logic>> {
         .collect()
 }
 
-fn cross_validate(name: &str, vectors: usize, seed: u64) {
+/// Cross-validates `vectors` random vectors after a zero-hold prefix of at
+/// least the circuit's sequential depth plus 2, which initializes the
+/// bundled machines. Returns the number of faults detected.
+fn cross_validate(name: &str, vectors: usize, seed: u64) -> usize {
     let circuit = Arc::new(benchmarks::iscas89(name).expect("bundled circuit"));
-    let mut sequence = vec![vec![Logic::Zero; circuit.num_inputs()]; 4];
+    let hold = (sequential_depth(&circuit) as usize + 2).max(4);
+    let mut sequence = vec![vec![Logic::Zero; circuit.num_inputs()]; hold];
     sequence.extend(random_sequence(circuit.num_inputs(), vectors, seed));
-    check_against_reference(&circuit, &sequence);
+    check_against_reference(&circuit, &sequence)
 }
 
 /// Steps `sequence` through a [`FaultSim`] over the collapsed fault list
@@ -167,7 +172,10 @@ fn s27_matches_reference() {
 
 #[test]
 fn s298_matches_reference() {
-    cross_validate("s298", 24, 2);
+    // Initialized, s298 compares hundreds of detections (514 of 700), not
+    // the 11 an uninitialized machine allows.
+    let detected = cross_validate("s298", 24, 2);
+    assert!(detected > 400, "only {detected} faults detected");
 }
 
 #[test]
